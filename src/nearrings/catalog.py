@@ -14,9 +14,16 @@ import tempfile
 from . import __version__
 from .census import CensusResult
 from .checks import SuiteReport
-from .core import CandidateMultiplication, Nearring, build_unchecked, validate
+from .core import (
+    CandidateMultiplication,
+    Nearring,
+    PropertyFlags,
+    build_unchecked,
+    count_flags,
+    validate,
+)
 from .errors import InputError
-from .groups import FiniteGroup, build_group
+from .groups import FiniteGroup, build_group, parse_int_table
 
 
 def group_spec_json(g: FiniteGroup):
@@ -53,13 +60,7 @@ def parse_nearring_json(obj, permissive: bool = False) -> Nearring:
     if "group" not in obj or "mul" not in obj:
         raise InputError('nearring object needs "group" and "mul" fields')
     group = build_group(obj["group"])
-    mul = obj["mul"]
-    if not isinstance(mul, list):
-        raise InputError('"mul" must be a list of rows')
-    try:
-        table = tuple(tuple(int(v) for v in row) for row in mul)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f'"mul" entries must be integers: {exc}') from exc
+    table = parse_int_table(obj["mul"], "mul")
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError('"name" must be a string')
@@ -152,18 +153,7 @@ def read_catalog(path) -> tuple[list[dict], dict]:
 
 
 def counts_from_records(records) -> dict[str, int]:
-    counts = {"total": 0, "with_identity": 0, "zero_symmetric": 0,
-              "semidistributive": 0, "distributive": 0}
-    for rec in records:
-        counts["total"] += 1
-        flags = rec["flags"]
-        for key, attr in (("with_identity", "has_identity"),
-                          ("zero_symmetric", "zero_symmetric"),
-                          ("semidistributive", "semidistributive"),
-                          ("distributive", "distributive")):
-            if flags[attr]:
-                counts[key] += 1
-    return counts
+    return count_flags(PropertyFlags(**rec["flags"]) for rec in records)
 
 
 def suite_report_json(report: SuiteReport) -> str:

@@ -18,24 +18,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
+    FLAG_TABLE,
     CandidateMultiplication,
     PropertyFlags,
     classify_table,
-    find_identity,
+    count_flags,
     validate,
 )
 from .checks import run_suite
 from .errors import InputError
 from .groups import MAX_ORDER, FiniteGroup, Table, endomorphisms
 
-FILTER_NAMES = ("with_identity", "zero_symmetric", "semidistributive", "distributive")
+_FLAG_ATTR = {key: attr for key, attr, _ in FLAG_TABLE}
 
-_FLAG_ATTR = {
-    "with_identity": "has_identity",
-    "zero_symmetric": "zero_symmetric",
-    "semidistributive": "semidistributive",
-    "distributive": "distributive",
-}
+FILTER_NAMES = tuple(_FLAG_ATTR)
 
 
 @dataclass(frozen=True)
@@ -216,8 +212,8 @@ def _enumerate_tables(g: FiniteGroup, worker_count: int):
 
 
 def census(spec: SearchSpec) -> CensusResult:
-    """Drain the candidate stream, validate, reduce up to isomorphism,
-    classify, and count. The result is independent of worker_count."""
+    """Drain the candidate stream, reduce up to isomorphism, classify, and
+    count. The result is independent of worker_count."""
     g = spec.group
     if g.order > MAX_ORDER:
         raise InputError(f"group order {g.order} exceeds {MAX_ORDER}")
@@ -228,10 +224,9 @@ def census(spec: SearchSpec) -> CensusResult:
     else:
         reps = list(tables)
     # The stream is associative and left distributive by construction (a
-    # tested invariant); full validation runs on every table the result
-    # carries, which doubles as the flag computation.
-    validated = [validate(CandidateMultiplication(g, t)) for t in reps]
-    flags = [r.flags for r in validated]
+    # tested invariant), so only the flags are computed here; census_suite
+    # validates every class in full.
+    flags = [classify_table(g, t) for t in reps]
     if spec.filters:
         keep = [
             i for i, f in enumerate(flags)
@@ -239,7 +234,7 @@ def census(spec: SearchSpec) -> CensusResult:
         ]
         reps = [reps[i] for i in keep]
         flags = [flags[i] for i in keep]
-    counts = _count_flags(flags)
+    counts = count_flags(flags)
     return CensusResult(
         group=g,
         convention="left",
@@ -252,16 +247,6 @@ def census(spec: SearchSpec) -> CensusResult:
         elapsed=time.perf_counter() - t0,
         workers=workers,
     )
-
-
-def _count_flags(flags) -> dict[str, int]:
-    return {
-        "total": len(flags),
-        "with_identity": sum(1 for f in flags if f.has_identity),
-        "zero_symmetric": sum(1 for f in flags if f.zero_symmetric),
-        "semidistributive": sum(1 for f in flags if f.semidistributive),
-        "distributive": sum(1 for f in flags if f.distributive),
-    }
 
 
 def brute_force_oracle(g: FiniteGroup) -> CensusResult:
@@ -301,7 +286,7 @@ def brute_force_oracle(g: FiniteGroup) -> CensusResult:
         convention="left",
         iso_reduction=True,
         filters=(),
-        counts=_count_flags(flags),
+        counts=count_flags(flags),
         representatives=tuple(reps),
         rep_flags=tuple(flags),
         nodes_visited=n ** (n * n),
@@ -310,39 +295,11 @@ def brute_force_oracle(g: FiniteGroup) -> CensusResult:
 
 
 def census_suite(spec: SearchSpec):
-    """Run the full check suite over every census representative."""
+    """Validate every census representative in full and run the check
+    suite on it, yielding one report per class, named "<group>[i]"."""
     result = census(spec)
     label = result.group.label()
     for i, rep in enumerate(result.representatives):
         r = validate(CandidateMultiplication(result.group, rep),
                      name=f"{label}[{i}]")
         yield run_suite(r)
-
-
-def mirrored_counts(g: FiniteGroup, reps) -> dict[str, int]:
-    """Counts under the mirrored (right-distributive) reading.
-
-    Each representative is transposed (giving a right nearring on the same
-    group), re-reduced up to isomorphism, and classified with the mirrored
-    property scans: x*0 = 0 for zero symmetry, t(r+s+r) = tr+ts+tr for
-    semidistributivity, and the left law for full distributivity.
-    """
-    n, add = g.order, g.add
-    mirrors = sorted({canonicalize(g, tuple(zip(*t))) for t in reps})
-    flags = []
-    for m in mirrors:
-        zs = all(m[x][0] == 0 for x in range(n))
-        sd = all(
-            m[t][add[add[r][s]][r]] == add[add[m[t][r]][m[t][s]]][m[t][r]]
-            for t in range(n) for r in range(n) for s in range(n)
-        )
-        dist = all(
-            m[x][add[y][z]] == add[m[x][y]][m[x][z]]
-            for x in range(n) for y in range(n) for z in range(n)
-        )
-        flags.append(PropertyFlags(
-            zero_symmetric=zs, semidistributive=sd, distributive=dist,
-            has_identity=find_identity(g, m) is not None,
-            abelian_addition=g.abelian,
-        ))
-    return _count_flags(flags)

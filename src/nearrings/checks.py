@@ -18,9 +18,10 @@ from .core import (
     Nearring,
     RModule,
     annihilator,
-    distributive_elements,
     ideal_violation,
     ideals,
+    law_failure,
+    law_failures,
     regular_module,
     units,
 )
@@ -70,17 +71,13 @@ def _passed(check_id: str, notes: str = "") -> CheckVerdict:
     return CheckVerdict(check_id, applicable=True, holds=True, witness=None, notes=notes)
 
 
-def _first_right_dist_failure(r: Nearring) -> dict | None:
-    n, add, mul = r.order, r.group.add, r.mul
-    for a in range(n):
-        for b in range(n):
-            for t in range(n):
-                lhs = mul[add[a][b]][t]
-                rhs = add[mul[a][t]][mul[b][t]]
-                if lhs != rhs:
-                    return {"law": "right-distributivity",
-                            "elements": {"r": a, "s": b, "t": t}, "lhs": lhs, "rhs": rhs}
-    return None
+def _law_witness(r: Nearring, law: str, names: str) -> dict | None:
+    """The first failure of a table law as a witness, its triple keyed by `names`."""
+    bad = law_failure(r.group, r.mul, law)
+    if bad is None:
+        return None
+    triple, lhs, rhs = bad
+    return {"law": law, "elements": dict(zip(names, triple)), "lhs": lhs, "rhs": rhs}
 
 
 # -- nearring-level checks -----------------------------------------------------
@@ -184,21 +181,18 @@ def check_odd_distributive(r: Nearring) -> CheckVerdict:
     cid = "odd-order-distributive"
     if not (r.flags.semidistributive and r.flags.has_identity):
         return _vacuous(cid, "requires semidistributive with identity")
-    n, add, mul = r.order, r.group.add, r.mul
-    dist = set(distributive_elements(r))
-    for t in range(n):
-        if r.group.orders[t] % 2 == 1 and t not in dist:
-            for a in range(n):
-                for b in range(n):
-                    lhs = mul[add[a][b]][t]
-                    rhs = add[mul[a][t]][mul[b][t]]
-                    if lhs != rhs:
-                        return _failed(cid, {"law": "odd-element-distributive",
-                                             "elements": {"t": t, "r": a, "s": b},
-                                             "lhs": lhs, "rhs": rhs})
-    if n % 2 == 1 and len(dist) != n:
-        bad = _first_right_dist_failure(r)
-        assert bad is not None
+    # first failing (r, s) per column t, in row-major order
+    first: dict[int, tuple] = {}
+    for (a, b, t), lhs, rhs in law_failures(r.group, r.mul, "right-distributivity"):
+        first.setdefault(t, (a, b, lhs, rhs))
+    for t in sorted(first):
+        if r.group.orders[t] % 2 == 1:
+            a, b, lhs, rhs = first[t]
+            return _failed(cid, {"law": "odd-element-distributive",
+                                 "elements": {"t": t, "r": a, "s": b},
+                                 "lhs": lhs, "rhs": rhs})
+    if r.order % 2 == 1 and first:
+        bad = _law_witness(r, "right-distributivity", "rst")
         return _failed(cid, dict(bad, law="odd-order-ring"),
                        "odd-order semidistributive instances must be rings")
     return _passed(cid)
@@ -245,7 +239,7 @@ def check_simple_is_ring(r: Nearring) -> CheckVerdict:
         return _vacuous(cid, "requires semidistributive with identity")
     if len(ideals(r)) != 2:
         return _vacuous(cid, "requires exactly two ideals")
-    bad = _first_right_dist_failure(r)
+    bad = _law_witness(r, "right-distributivity", "rst")
     if bad is not None:
         return _failed(cid, bad)
     return _passed(cid)
@@ -259,7 +253,7 @@ def check_no_order_two(r: Nearring) -> CheckVerdict:
         return _vacuous(cid, "requires semidistributive with identity")
     if any(o == 2 for o in r.group.orders):
         return _vacuous(cid, "additive group has an element of order 2")
-    bad = _first_right_dist_failure(r)
+    bad = _law_witness(r, "right-distributivity", "rst")
     if bad is not None:
         return _failed(cid, bad)
     return _passed(cid)
@@ -296,17 +290,8 @@ def check_faithful_module_ring(m: RModule) -> CheckVerdict:
         column = tuple(m.action[g][x] for g in range(gn))
         if not is_homomorphism(m.carrier, m.carrier, column):
             return _vacuous(cid, f"element {x} does not act as an endomorphism")
-    r = m.ring
-    n, add, mul = r.order, r.group.add, r.mul
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs, rhs = mul[x][add[y][z]], add[mul[x][y]][mul[x][z]]
-                if lhs != rhs:
-                    return _failed(cid, {"law": "left-distributivity",
-                                         "elements": {"x": x, "y": y, "z": z},
-                                         "lhs": lhs, "rhs": rhs})
-    bad = _first_right_dist_failure(r)
+    bad = (_law_witness(m.ring, "left-distributivity", "xyz")
+           or _law_witness(m.ring, "right-distributivity", "rst"))
     if bad is not None:
         return _failed(cid, bad)
     return _passed(cid)

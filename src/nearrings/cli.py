@@ -22,29 +22,21 @@ from .census import (
     SearchSpec,
     brute_force_oracle,
     census,
-    mirrored_counts,
+    census_suite,
 )
 from .checks import run_suite, summarize_reports
 from .core import (
-    CandidateMultiplication,
+    FLAG_TABLE,
     builtin,
     distributive_elements,
     ideals,
     units,
-    validate,
 )
 from .errors import InputError, NearringError
 from .groups import build_group
 
 # CLI filter spellings -> SearchSpec filter names
-_CLI_FILTERS = {
-    "identity": "with_identity",
-    "zero-symmetric": "zero_symmetric",
-    "semidistributive": "semidistributive",
-    "distributive": "distributive",
-}
-
-_S3_PUBLISHED = {"total": 39, "semidistributive": 4, "distributive": 2}
+_CLI_FILTERS = {cli: key for key, _, cli in FLAG_TABLE}
 
 
 def _group_from_arg(groupspec: str):
@@ -59,14 +51,8 @@ def _group_from_arg(groupspec: str):
 
 
 def _counts_table(counts: dict[str, int]) -> str:
-    rows = [
-        ("total", counts["total"]),
-        ("with identity", counts["with_identity"]),
-        ("zero-symmetric", counts["zero_symmetric"]),
-        ("semidistributive", counts["semidistributive"]),
-        ("distributive", counts["distributive"]),
-    ]
-    return "\n".join(f"  {label:<18} {value}" for label, value in rows)
+    keys = ["total"] + [key for key, _, _ in FLAG_TABLE]
+    return "\n".join(f"  {key.replace('_', ' '):<18} {counts[key]}" for key in keys)
 
 
 def cmd_census(args) -> int:
@@ -79,13 +65,6 @@ def cmd_census(args) -> int:
     if out_path is None:
         out_path = f"census-{group.label()}.jsonl"
     write_catalog(out_path, result)
-
-    mirrored = None
-    if (group.spec == "S3" and result.iso_reduction and not filters):
-        observed = {k: result.counts[k] for k in _S3_PUBLISHED}
-        if observed != _S3_PUBLISHED:
-            mirrored = mirrored_counts(group, result.representatives)
-
     if args.format == "json":
         payload = {
             "group": group.label(),
@@ -99,8 +78,6 @@ def cmd_census(args) -> int:
                 "workers": result.workers,
             },
         }
-        if mirrored is not None:
-            payload["mirrored_convention_counts"] = mirrored
         print(json.dumps(payload, sort_keys=True))
     else:
         kind = "isomorphism classes" if result.iso_reduction else "raw tables"
@@ -109,10 +86,6 @@ def cmd_census(args) -> int:
         print(f"  catalog: {out_path}")
         print(f"  nodes visited {result.nodes_visited}, "
               f"elapsed {result.elapsed:.2f}s, workers {result.workers}")
-        if mirrored is not None:
-            print("WARNING: counts differ from the published census "
-                  f"{_S3_PUBLISHED}; mirrored-convention counts for escalation:")
-            print(_counts_table(mirrored))
     return 0
 
 
@@ -174,19 +147,13 @@ def _print_report(report, fmt: str) -> None:
 def cmd_lemmas(args) -> int:
     if args.census:
         group = _group_from_arg(args.census)
-        spec = SearchSpec(group)
-        result = census(spec)
-        reports = []
-        label = group.label()
-        for i, rep in enumerate(result.representatives):
-            r = validate(CandidateMultiplication(group, rep), name=f"{label}[{i}]")
-            reports.append(run_suite(r))
+        reports = list(census_suite(SearchSpec(group)))
         summary = summarize_reports(reports)
         if args.format == "json":
             print(json.dumps({"reports": [rep.as_dict() for rep in reports],
                               "summary": summary}, sort_keys=True))
         else:
-            print(f"checked {summary['instances']} census instances on {label}")
+            print(f"checked {summary['instances']} census instances on {group.label()}")
             print("  applicable instances per check:")
             for cid, count in summary["applicable"].items():
                 print(f"    {cid:<24} {count}")

@@ -40,6 +40,25 @@ class PropertyFlags:
         }
 
 
+# The census flags, one row each: count and filter key, PropertyFlags field,
+# CLI --filter spelling.
+FLAG_TABLE = (
+    ("with_identity", "has_identity", "identity"),
+    ("zero_symmetric", "zero_symmetric", "zero-symmetric"),
+    ("semidistributive", "semidistributive", "semidistributive"),
+    ("distributive", "distributive", "distributive"),
+)
+
+
+def count_flags(flags) -> dict[str, int]:
+    """The total number of flag sets and, per FLAG_TABLE key, how many hold it."""
+    flags = list(flags)
+    counts = {"total": len(flags)}
+    for key, attr, _ in FLAG_TABLE:
+        counts[key] = sum(getattr(f, attr) for f in flags)
+    return counts
+
+
 @dataclass(frozen=True)
 class CandidateMultiplication:
     """A multiplication table awaiting validation; only index ranges hold."""
@@ -105,25 +124,48 @@ class TranslationEmbedding:
 
 # -- validation and classification -------------------------------------------
 
-def _first_associativity_failure(group: FiniteGroup, mul: Table) -> tuple[int, int, int] | None:
-    n = group.order
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                    return (x, y, z)
-    return None
+# Each law's two sides at every (b, c) for a fixed a, flattened in row-major
+# order; `ra` is the row mul[a]. The law holds iff the sides agree for all a.
+_LAW_SIDES = {
+    # (a*b)*c = a*(b*c)
+    "associativity": lambda add, mul, a, ra: (
+        [x for v in ra for x in mul[v]],
+        [ra[v] for row in mul for v in row]),
+    # a*(b+c) = a*b + a*c
+    "left-distributivity": lambda add, mul, a, ra: (
+        [ra[v] for row in add for v in row],
+        [s[v] for s in [add[u] for u in ra] for v in ra]),
+    # (a+b)*c = a*c + b*c
+    "right-distributivity": lambda add, mul, a, ra: (
+        [x for v in add[a] for x in mul[v]],
+        [add[u][v] for row in mul for u, v in zip(ra, row)]),
+    # (a+b+a)*c = a*c + b*c + a*c
+    "semidistributivity": lambda add, mul, a, ra: (
+        [x for v in add[a] for x in mul[add[v][a]]],
+        [add[add[u][v]][u] for row in mul for u, v in zip(ra, row)]),
+}
 
 
-def _first_left_distributivity_failure(group: FiniteGroup, mul: Table) -> tuple[int, int, int] | None:
-    n = group.order
-    add = group.add
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
-                    return (x, y, z)
-    return None
+def law_failures(group: FiniteGroup, mul, law: str):
+    """Every triple (a, b, c) at which `law` fails, in row-major order, as
+    ((a, b, c), lhs, rhs) with both sides evaluated.
+
+    `law` is "associativity", "left-distributivity", "right-distributivity"
+    or "semidistributivity".
+    """
+    sides = _LAW_SIDES[law]
+    add, n = group.add, group.order
+    for a in range(n):
+        lhs, rhs = sides(add, mul, a, mul[a])
+        if lhs != rhs:
+            for i, (u, v) in enumerate(zip(lhs, rhs)):
+                if u != v:
+                    yield (a, *divmod(i, n)), u, v
+
+
+def law_failure(group: FiniteGroup, mul, law: str) -> tuple[tuple[int, int, int], int, int] | None:
+    """The first failure of `law` in row-major order, or None if it holds."""
+    return next(law_failures(group, mul, law), None)
 
 
 def find_identity(group: FiniteGroup, mul: Table) -> int | None:
@@ -135,33 +177,14 @@ def find_identity(group: FiniteGroup, mul: Table) -> int | None:
     return None
 
 
-def is_right_distributive(group: FiniteGroup, mul: Table) -> bool:
-    n, add = group.order, group.add
-    return all(
-        mul[add[r][s]][t] == add[mul[r][t]][mul[s][t]]
-        for r in range(n) for s in range(n) for t in range(n)
-    )
-
-
-def is_left_distributive(group: FiniteGroup, mul: Table) -> bool:
-    return _first_left_distributivity_failure(group, mul) is None
-
-
 def classify_table(group: FiniteGroup, mul: Table, identity: int | None = None) -> PropertyFlags:
     """Compute all property flags from the tables alone."""
-    n, add = group.order, group.add
-    zero_symmetric = all(mul[0][x] == 0 for x in range(n))
-    semidistributive = all(
-        mul[add[add[r][s]][r]][t] == add[add[mul[r][t]][mul[s][t]]][mul[r][t]]
-        for r in range(n) for s in range(n) for t in range(n)
-    )
-    distributive = is_right_distributive(group, mul)
     if identity is None:
         identity = find_identity(group, mul)
     return PropertyFlags(
-        zero_symmetric=zero_symmetric,
-        semidistributive=semidistributive,
-        distributive=distributive,
+        zero_symmetric=all(mul[0][x] == 0 for x in range(group.order)),
+        semidistributive=law_failure(group, mul, "semidistributivity") is None,
+        distributive=law_failure(group, mul, "right-distributivity") is None,
         has_identity=identity is not None,
         abelian_addition=group.abelian,
     )
@@ -175,19 +198,16 @@ def validate(candidate: CandidateMultiplication, name: str | None = None,
     associativity before left distributivity.
     """
     group, mul = candidate.group, candidate.mul
-    triple = _first_associativity_failure(group, mul)
-    if triple is not None:
-        x, y, z = triple
+    failure = law_failure(group, mul, "associativity")
+    if failure is not None:
+        (x, y, z), lhs, rhs = failure
         raise AxiomViolation(
-            "associativity", triple,
-            f"({x}*{y})*{z} = {mul[mul[x][y]][z]} but {x}*({y}*{z}) = {mul[x][mul[y][z]]}")
-    triple = _first_left_distributivity_failure(group, mul)
-    if triple is not None:
-        x, y, z = triple
-        lhs = mul[x][group.add[y][z]]
-        rhs = group.add[mul[x][y]][mul[x][z]]
+            "associativity", (x, y, z), f"({x}*{y})*{z} = {lhs} but {x}*({y}*{z}) = {rhs}")
+    failure = law_failure(group, mul, "left-distributivity")
+    if failure is not None:
+        (x, y, z), lhs, rhs = failure
         raise AxiomViolation(
-            "left-distributivity", triple,
+            "left-distributivity", (x, y, z),
             f"{x}*({y}+{z}) = {lhs} but {x}*{y} + {x}*{z} = {rhs}")
     # x*0 = 0 is forced by left distributivity; assert it directly anyway.
     for x in range(group.order):
@@ -236,13 +256,8 @@ def units(r: Nearring) -> tuple[int, ...]:
 
 def distributive_elements(r: Nearring) -> tuple[int, ...]:
     """All t such that (r+s)t = rt + st for every pair r, s."""
-    n, add, mul = r.order, r.group.add, r.mul
-    out = [
-        t for t in range(n)
-        if all(mul[add[a][b]][t] == add[mul[a][t]][mul[b][t]]
-               for a in range(n) for b in range(n))
-    ]
-    return tuple(out)
+    bad = {t for (_, _, t), _, _ in law_failures(r.group, r.mul, "right-distributivity")}
+    return tuple(t for t in range(r.order) if t not in bad)
 
 
 def translation_embedding(r: Nearring) -> TranslationEmbedding:
@@ -466,7 +481,7 @@ def _builtin_map_z2() -> Nearring:
         tuple(index[compose(funcs[i], funcs[j])] for j in range(4)) for i in range(4))
     for mul, order_name in ((left_then_right, "left factor feeds the right factor"),
                             (right_then_left, "right factor feeds the left factor")):
-        if is_left_distributive(g, mul):
+        if law_failure(g, mul, "left-distributivity") is None:
             return validate(
                 CandidateMultiplication(g, mul), name="map-z2",
                 extra=(("composition-order", order_name),

@@ -282,20 +282,26 @@ def build_group(spec) -> FiniteGroup:
     return _product(factors, s)
 
 
+def parse_int_table(rows, field: str) -> Table:
+    """A table from outside input, which must be a list of lists of
+    integers; strings, floats and booleans are refused, not coerced."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError(f'"{field}" must be a list of rows')
+    if not all(type(v) is int for row in rows for v in row):
+        raise InputError(f'"{field}" entries must be integers')
+    return tuple(tuple(row) for row in rows)
+
+
 def build_raw_group(obj: dict) -> FiniteGroup:
     """Build and fully validate a group from an explicit table object."""
     if "order" not in obj or "add" not in obj:
         raise InputError('raw group object needs "order" and "add" fields')
     n = obj["order"]
-    if not isinstance(n, int) or n < 1 or n > MAX_ORDER:
+    if type(n) is not int or n < 1 or n > MAX_ORDER:
         raise InputError(f"order must be an integer in 1..{MAX_ORDER}, got {n!r}")
-    rows = obj["add"]
-    if not isinstance(rows, list) or len(rows) != n:
+    add = parse_int_table(obj["add"], "add")
+    if len(add) != n:
         raise InputError(f'"add" must be a list of {n} rows')
-    try:
-        add = tuple(tuple(int(v) for v in row) for row in rows)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f'"add" entries must be integers: {exc}') from exc
     _validate_table(add)
     names = tuple(str(x) for x in range(n))
     return FiniteGroup(n, add, names, None, _greedy_generators(add))

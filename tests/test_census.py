@@ -11,7 +11,6 @@ from nearrings.census import (
     canonicalize,
     census,
     census_suite,
-    mirrored_counts,
     relabel,
 )
 from nearrings.checks import summarize_reports
@@ -243,11 +242,3 @@ def test_translation_embedding_over_census_instances(census_of):
             recovered = tuple(sorted(t.images[r.identity] for t in emb.unit_translations))
             assert recovered == units(r)
         assert seen >= 1
-
-
-def test_mirrored_counts_match_by_duality(census_of):
-    # Transposing every class gives the right-distributive census; all five
-    # counts must agree with the left census flag for flag.
-    for spec in ("Z3", "Z4", "S3"):
-        c = census_of(spec)
-        assert mirrored_counts(c.group, c.representatives) == c.counts

@@ -15,13 +15,28 @@ from nearrings.core import (
     is_faithful,
     is_ideal,
     is_simple,
+    law_failure,
+    law_failures,
     regular_module,
     translation_embedding,
     units,
     validate,
 )
+from corpus import FILE_ENTRIES
 from nearrings.errors import AxiomViolation, InputError, PreconditionError
 from nearrings.groups import build_group, element_order
+
+# Each table law at one triple (a, b, c): (left side, right side).
+PLAIN_LAWS = {
+    "associativity": lambda add, mul, a, b, c: (
+        mul[mul[a][b]][c], mul[a][mul[b][c]]),
+    "left-distributivity": lambda add, mul, a, b, c: (
+        mul[a][add[b][c]], add[mul[a][b]][mul[a][c]]),
+    "right-distributivity": lambda add, mul, a, b, c: (
+        mul[add[a][b]][c], add[mul[a][c]][mul[b][c]]),
+    "semidistributivity": lambda add, mul, a, b, c: (
+        mul[add[add[a][b]][a]][c], add[add[mul[a][c]][mul[b][c]]][mul[a][c]]),
+}
 
 
 def brute_force_is_ideal(r, members):
@@ -53,6 +68,20 @@ def s3_paper():
 @pytest.fixture(scope="module")
 def ring_z6():
     return builtin("ring:Z6")
+
+
+@pytest.mark.parametrize("law", sorted(PLAIN_LAWS))
+@pytest.mark.parametrize("cid", sorted(FILE_ENTRIES))
+def test_law_kernel_matches_plain_scan(cid, law):
+    spec, mul, _ = FILE_ENTRIES[cid]
+    g = build_group(spec)
+    expected = []
+    for a, b, c in itertools.product(range(g.order), repeat=3):
+        lhs, rhs = PLAIN_LAWS[law](g.add, mul, a, b, c)
+        if lhs != rhs:
+            expected.append(((a, b, c), lhs, rhs))
+    assert list(law_failures(g, mul, law)) == expected
+    assert law_failure(g, mul, law) == (expected[0] if expected else None)
 
 
 def test_s3_paper_table(s3_paper):

@@ -67,6 +67,20 @@ def test_raw_table_rejects_bad_shape_and_range():
         build_group("K4")
 
 
+@pytest.mark.parametrize("obj", [
+    {"order": True, "add": [[0]]},
+    {"order": 2.0, "add": [[0, 1], [1, 0]]},
+    {"order": 2, "add": ["01", "10"]},
+    {"order": 2, "add": [[0, 1.0], [1, 0]]},
+    {"order": 2, "add": [[0, 1.5], [1, 0]]},
+    {"order": 2, "add": [[False, True], [True, False]]},
+    {"order": 2, "add": "0110"},
+])
+def test_raw_table_rejects_non_integer_entries(obj):
+    with pytest.raises(InputError):
+        build_group(obj)
+
+
 def test_raw_table_accepts_valid_group():
     z3 = build_group({"order": 3, "add": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
     assert z3.spec is None
