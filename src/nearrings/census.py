@@ -5,8 +5,18 @@ of an additive endomorphism phi_x per element x (the left translation
 row), and associativity is exactly the closure law
 phi_(phi_x(y)) = phi_x o phi_y. The search therefore assigns endomorphism
 indices to elements in index order with incremental constraint
-propagation, instead of scanning all n^(n^2) raw tables. A raw n^(n^2)
-oracle is kept for orders up to 3 as an independent verification path.
+propagation, instead of scanning all n^(n^2) raw tables. The propagation
+fails fast: each forced assignment is checked as soon as it is derived.
+
+The census runs in index space from leaf to class representative. A
+table is a tuple of indices into the endomorphisms sorted by image
+vector, so index tuples sort exactly like the tables they encode. Orbit
+reduction relabels index tuples through one conjugation table per
+automorphism; only representatives (or, without reduction, every table)
+are decoded to image tables. Groups with more than MAX_ENDOMORPHISMS
+endomorphisms are refused before the |End|^2 composition table is built.
+`relabel` and `canonicalize` work on image tables, as an independent path,
+and a raw n^(n^2) oracle is kept for orders up to 3.
 """
 
 from __future__ import annotations
@@ -64,10 +74,22 @@ class CensusResult:
     oracle: bool = False
 
 
+# Largest |End(G)| whose composition table (|End|^2 entries) is built.
+# Z2xZ2xZ4 has 1024; the only named group above it is Z2xZ2xZ2xZ2 with
+# 65536, whose table would hold 4.3e9 entries.
+MAX_ENDOMORPHISMS = 1024
+
+
 @lru_cache(maxsize=None)
 def _endo_data(g: FiniteGroup):
-    """Endomorphism image vectors, their index map, and the composition table."""
+    """Endomorphism image vectors, sorted, and the composition table
+    comp[e][f] = index of e o f."""
     endos = tuple(m.images for m in endomorphisms(g))
+    if len(endos) > MAX_ENDOMORPHISMS:
+        raise InputError(
+            f"|End({g.label()})| = {len(endos)}: its composition table would "
+            f"hold {len(endos) ** 2} entries; the census supports |End| <= "
+            f"{MAX_ENDOMORPHISMS}")
     index = {im: i for i, im in enumerate(endos)}
     n = g.order
     comp = tuple(
@@ -77,53 +99,80 @@ def _endo_data(g: FiniteGroup):
     return endos, comp
 
 
+def _decode(endos, t) -> Table:
+    """The multiplication table of an index tuple: row x is endos[t[x]]."""
+    return tuple(map(endos.__getitem__, t))
+
+
 def _search(add, endos, comp, roots, counter):
     """DFS over endomorphism assignments with closure propagation.
 
     `counter[0]` accumulates the number of attempted choices; forced
-    assignments made by propagation are not counted. Yields complete
-    multiplication tables in deterministic DFS order.
+    assignments made by propagation are not counted. Yields each complete
+    assignment as a tuple t of endomorphism indices (row x of the table is
+    endos[t[x]]) in deterministic DFS order.
     """
     n = len(add)
     assign: list[int | None] = [None] * n
+    # Assigned elements in assignment order: the propagation queue and the
+    # undo trail at once.
+    done: list[int] = []
 
-    def close(x0: int, e0: int, trail: list[int],
-              assign=assign, endos=endos, comp=comp) -> bool:
-        stack = [(x0, e0)]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            y, f = pop()
-            cur = assign[y]
-            if cur is not None:
-                if cur != f:
-                    return False
-                continue
-            assign[y] = f
-            trail.append(y)
+    def close(x0: int, e0: int, assign=assign, done=done,
+              endos=endos, comp=comp) -> bool:
+        """Assign e0 to x0 and propagate phi_(phi_y(z)) = phi_y o phi_z.
+
+        Each forced pair is checked as soon as it is derived: a free target
+        is assigned and queued, a conflicting one fails at once. Elements
+        already in `done` are closed among themselves, so each queued
+        element is paired once with itself and every element before it.
+        The fixpoint, or the existence of a conflict, does not depend on
+        the order, so neither does the search tree.
+        """
+        assign[x0] = e0
+        done.append(x0)
+        i = len(done) - 1
+        while i < len(done):
+            y = done[i]
+            i += 1
+            f = assign[y]
             fimg = endos[f]
             fcomp = comp[f]
-            for z, gidx in enumerate(assign):
-                if gidx is None:
-                    continue
-                push((fimg[z], fcomp[gidx]))
-                push((endos[gidx][y], comp[gidx][f]))
+            for z in done[:i]:
+                h = assign[z]
+                w = fimg[z]
+                v = fcomp[h]
+                cur = assign[w]
+                if cur is None:
+                    assign[w] = v
+                    done.append(w)
+                elif cur != v:
+                    return False
+                w = endos[h][y]
+                v = comp[h][f]
+                cur = assign[w]
+                if cur is None:
+                    assign[w] = v
+                    done.append(w)
+                elif cur != v:
+                    return False
         return True
 
     def extend(pos: int):
         while pos < n and assign[pos] is not None:
             pos += 1
         if pos == n:
-            yield tuple(endos[assign[x]] for x in range(n))
+            yield tuple(assign)
             return
         choices = roots if pos == 0 else range(len(endos))
+        mark = len(done)
         for e in choices:
             counter[0] += 1
-            trail: list[int] = []
-            if close(pos, e, trail):
+            if close(pos, e):
                 yield from extend(pos + 1)
-            for y in trail:
+            for y in done[mark:]:
                 assign[y] = None
+            del done[mark:]
 
     yield from extend(0)
 
@@ -135,8 +184,8 @@ def candidate_stream(g: FiniteGroup):
         raise InputError(f"group order {g.order} exceeds {MAX_ORDER}")
     endos, comp = _endo_data(g)
     counter = [0]
-    for table in _search(g.add, endos, comp, range(len(endos)), counter):
-        yield CandidateMultiplication(g, table)
+    for t in _search(g.add, endos, comp, range(len(endos)), counter):
+        yield CandidateMultiplication(g, _decode(endos, t))
 
 
 # -- canonical forms -----------------------------------------------------------
@@ -163,21 +212,44 @@ def canonicalize(g: FiniteGroup, mul: Table) -> Table:
     return min(relabel(g, mul, th) for th in auts)
 
 
-def _iso_representatives(g: FiniteGroup, tables) -> list[Table]:
-    """Lex-least orbit representatives under Aut(g).
+def _conjugation_tables(g: FiniteGroup):
+    """Per theta in Aut(g): theta and the table conj with
+    endos[conj[e]] = theta^-1 o endos[e] o theta.
 
-    Scans tables in sorted order and expands each unseen orbit once; since
-    the table set is closed under relabeling, the first unseen member of
+    Row x of relabel(g, t, theta) is theta^-1 o t[theta(x)] o theta, so on
+    index tuples relabeling is t'[x] = conj[t[theta[x]]]: n lookups.
+    """
+    endos, _ = _endo_data(g)
+    index = {im: i for i, im in enumerate(endos)}
+    n = g.order
+    out = []
+    for m in endomorphisms(g, invertible_only=True):
+        theta = m.images
+        inv = [0] * n
+        for i, v in enumerate(theta):
+            inv[v] = i
+        conj = tuple(index[tuple(inv[e[theta[y]]] for y in range(n))]
+                     for e in endos)
+        out.append((theta, conj))
+    return out
+
+
+def _iso_representatives(g: FiniteGroup, tables) -> list[tuple[int, ...]]:
+    """Lex-least orbit representatives under Aut(g), as index tuples.
+
+    Scans the sorted index tuples (endos is sorted by image vector, so they
+    sort like the tables they encode) and expands each unseen orbit once;
+    since the set is closed under relabeling, the first unseen member of
     an orbit is its minimum, so this agrees with per-table canonicalize()
     at a fraction of the cost.
     """
-    auts = [m.images for m in endomorphisms(g, invertible_only=True)]
-    seen: set[Table] = set()
-    reps: list[Table] = []
+    conjs = _conjugation_tables(g)
+    seen: set[tuple[int, ...]] = set()
+    reps: list[tuple[int, ...]] = []
     for t in sorted(tables):
         if t in seen:
             continue
-        seen.update(relabel(g, t, th) for th in auts)
+        seen.update(tuple([conj[t[a]] for a in theta]) for theta, conj in conjs)
         reps.append(t)
     return reps
 
@@ -192,6 +264,8 @@ def _worker_task(args):
 
 
 def _enumerate_tables(g: FiniteGroup, worker_count: int):
+    """Every complete assignment as a sorted list of index tuples, the
+    attempt count, and the number of workers used."""
     endos, comp = _endo_data(g)
     all_roots = list(range(len(endos)))
     if worker_count <= 1 or len(all_roots) <= 1:
@@ -201,7 +275,7 @@ def _enumerate_tables(g: FiniteGroup, worker_count: int):
     buckets = [all_roots[w::worker_count] for w in range(worker_count)]
     buckets = [b for b in buckets if b]
     tasks = [(g.add, endos, comp, tuple(b)) for b in buckets]
-    tables: list[Table] = []
+    tables: list[tuple[int, ...]] = []
     nodes = 0
     with ProcessPoolExecutor(max_workers=len(buckets)) as pool:
         for sub, count in pool.map(_worker_task, tasks):
@@ -220,9 +294,9 @@ def census(spec: SearchSpec) -> CensusResult:
     t0 = time.perf_counter()
     tables, nodes, workers = _enumerate_tables(g, spec.worker_count)
     if spec.iso_reduction:
-        reps = _iso_representatives(g, tables)
-    else:
-        reps = list(tables)
+        tables = _iso_representatives(g, tables)
+    endos, _ = _endo_data(g)
+    reps = [_decode(endos, t) for t in tables]
     # The stream is associative and left distributive by construction (a
     # tested invariant), so only the flags are computed here; census_suite
     # validates every class in full.

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SWEEP_SPECS
 from nearrings.census import (
+    MAX_ENDOMORPHISMS,
     SearchSpec,
+    _conjugation_tables,
+    _endo_data,
     brute_force_oracle,
     candidate_stream,
     canonicalize,
@@ -242,3 +246,52 @@ def test_translation_embedding_over_census_instances(census_of):
             recovered = tuple(sorted(t.images[r.identity] for t in emb.unit_translations))
             assert recovered == units(r)
         assert seen >= 1
+
+
+# -- index-space search and reduction ---------------------------------------------
+
+# Attempted choices per group. The closure's propagation order must not
+# change the search tree; a deliberate search change updates these.
+NODES_VISITED = {
+    "Z1": 1, "Z2": 6, "Z3": 18, "Z4": 56, "Z2xZ2": 944, "Z5": 105, "Z6": 564,
+    "S3": 1240, "Z7": 553, "Z8": 2544, "Z2xZ4": 119232, "Z2xZ2xZ2": 27688960,
+    "D8": 152568, "Q8": 48356,
+}
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_search_tree_is_pinned(spec, census_of):
+    assert census_of(spec).nodes_visited == NODES_VISITED[spec]
+
+
+def test_census_refuses_oversized_endomorphism_monoid():
+    # Z2xZ2xZ4 (|End| = 1024) is the largest named group the limit admits.
+    assert len(endomorphisms(build_group("Z2xZ2xZ4"))) <= MAX_ENDOMORPHISMS
+    with pytest.raises(InputError, match=r"\|End\(Z2xZ2xZ2xZ2\)\| = 65536"):
+        census(SearchSpec(build_group("Z2xZ2xZ2xZ2")))
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "Z2xZ4"])
+def test_conjugation_tables_match_relabel(spec):
+    g = build_group(spec)
+    endos, _ = _endo_data(g)
+    assert all(a < b for a, b in zip(endos, endos[1:]))
+    index = {im: i for i, im in enumerate(endos)}
+    tables = [c.mul for c in itertools.islice(candidate_stream(g), 50)]
+    for theta, conj in _conjugation_tables(g):
+        for t in tables:
+            idx = [index[row] for row in t]
+            moved = tuple(endos[conj[idx[theta[x]]]] for x in range(g.order))
+            assert moved == relabel(g, t, theta)
+
+
+@pytest.mark.parametrize("spec", ["Z4", "Z2xZ2", "Z6", "S3", "Q8"])
+def test_burnside_counts_the_orbit_reduction(spec, census_of):
+    # Classes = (1/|Aut|) * sum over theta of the raw tables theta fixes,
+    # counted with image-space relabel only.
+    raw = census_of(spec, iso_reduction=False).representatives
+    g = build_group(spec)
+    auts = [m.images for m in endomorphisms(g, invertible_only=True)]
+    fixed = sum(relabel(g, t, theta) == t for theta in auts for t in raw)
+    assert fixed % len(auts) == 0
+    assert fixed // len(auts) == census_of(spec).counts["total"]

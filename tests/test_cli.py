@@ -161,6 +161,16 @@ def test_cmd_census_filter(tmp_path, capsys):
     assert len(records) == 1
 
 
+def test_cmd_census_refuses_oversized_endomorphism_monoid(tmp_path, capsys):
+    # |End(Z2xZ2xZ2xZ2)| = 65536: refused before the composition table.
+    out_path = tmp_path / "e16.jsonl"
+    code, _, err = run_cli(capsys, "census", "Z2xZ2xZ2xZ2", "--out", str(out_path))
+    assert code == 2
+    assert "|End(Z2xZ2xZ2xZ2)| = 65536" in err
+    assert str(65536 ** 2) in err
+    assert not out_path.exists()
+
+
 def test_catalog_reread_reproduces_counts(tmp_path, capsys, census_of):
     out_path = tmp_path / "s3.jsonl"
     code, _, _ = run_cli(capsys, "census", "S3", "--out", str(out_path))
