@@ -1,4 +1,4 @@
-"""Exhaustive, isomorphism-reduced enumeration of nearring multiplications.
+"""Exhaustive, isomorph-free enumeration of nearring multiplications.
 
 A multiplication satisfying the left distributive law is exactly a choice
 of an additive endomorphism phi_x per element x (the left translation
@@ -8,15 +8,20 @@ indices to elements in index order with incremental constraint
 propagation, instead of scanning all n^(n^2) raw tables. The propagation
 fails fast: each forced assignment is checked as soon as it is derived.
 
-The census runs in index space from leaf to class representative. A
-table is a tuple of indices into the endomorphisms sorted by image
-vector, so index tuples sort exactly like the tables they encode. Orbit
-reduction relabels index tuples through one conjugation table per
-automorphism; only representatives (or, without reduction, every table)
-are decoded to image tables. Groups with more than MAX_ENDOMORPHISMS
-endomorphisms are refused before the |End|^2 composition table is built.
-`relabel` and `canonicalize` work on image tables, as an independent path,
-and a raw n^(n^2) oracle is kept for orders up to 3.
+A table is a tuple of indices into the endomorphisms sorted by image
+vector, so index tuples sort exactly like the tables they encode. The
+census is orderly (isomorph-free generation in McKay's sense): every
+automorphism theta fixes element 0, so relabeling conjugates row 0, and
+the lex-least table of a class has a row 0 that is least in its
+conjugacy class. Element 0 takes only those rows, and a leaf is kept
+only if no automorphism fixing its row 0 relabels it to a smaller tuple,
+through one conjugation table per automorphism (n lookups). No raw table
+is stored, so memory grows with the classes found; only kept tables
+(or, without reduction, every table) are decoded to image tables.
+Groups with more than MAX_ENDOMORPHISMS endomorphisms are refused before
+End(G) is enumerated in full. `relabel` and `canonicalize` work on image
+tables, as an independent path, and a raw n^(n^2) oracle is kept for
+orders up to 3.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .core import (
 )
 from .checks import run_suite
 from .errors import InputError
-from .groups import MAX_ORDER, FiniteGroup, Table, endomorphisms
+from .groups import MAX_ORDER, FiniteGroup, Table, endomorphisms, iter_endomorphisms
 
 _FLAG_ATTR = {key: attr for key, attr, _ in FLAG_TABLE}
 
@@ -84,12 +89,15 @@ MAX_ENDOMORPHISMS = 1024
 def _endo_data(g: FiniteGroup):
     """Endomorphism image vectors, sorted, and the composition table
     comp[e][f] = index of e o f."""
-    endos = tuple(m.images for m in endomorphisms(g))
-    if len(endos) > MAX_ENDOMORPHISMS:
+    # Count on the lazy stream first, so an oversized End(G) is refused
+    # after MAX_ENDOMORPHISMS + 1 maps instead of all of them.
+    extra = itertools.islice(iter_endomorphisms(g), MAX_ENDOMORPHISMS, None)
+    if next(extra, None) is not None:
         raise InputError(
-            f"|End({g.label()})| = {len(endos)}: its composition table would "
-            f"hold {len(endos) ** 2} entries; the census supports |End| <= "
-            f"{MAX_ENDOMORPHISMS}")
+            f"|End({g.label()})| exceeds {MAX_ENDOMORPHISMS}: its composition "
+            f"table would hold more than {MAX_ENDOMORPHISMS ** 2} entries; the "
+            f"census supports |End| <= {MAX_ENDOMORPHISMS}")
+    endos = endomorphisms(g)
     index = {im: i for i, im in enumerate(endos)}
     n = g.order
     comp = tuple(
@@ -208,8 +216,7 @@ def canonicalize(g: FiniteGroup, mul: Table) -> Table:
     Idempotent, and constant exactly on isomorphism classes of nearrings
     sharing the additive group g.
     """
-    auts = [m.images for m in endomorphisms(g, invertible_only=True)]
-    return min(relabel(g, mul, th) for th in auts)
+    return min(relabel(g, mul, th) for th in endomorphisms(g, invertible_only=True))
 
 
 def _conjugation_tables(g: FiniteGroup):
@@ -223,8 +230,7 @@ def _conjugation_tables(g: FiniteGroup):
     index = {im: i for i, im in enumerate(endos)}
     n = g.order
     out = []
-    for m in endomorphisms(g, invertible_only=True):
-        theta = m.images
+    for theta in endomorphisms(g, invertible_only=True):
         inv = [0] * n
         for i, v in enumerate(theta):
             inv[v] = i
@@ -234,67 +240,83 @@ def _conjugation_tables(g: FiniteGroup):
     return out
 
 
-def _iso_representatives(g: FiniteGroup, tables) -> list[tuple[int, ...]]:
-    """Lex-least orbit representatives under Aut(g), as index tuples.
+def _roots(g: FiniteGroup, iso_reduction: bool):
+    """Element 0's admissible rows, each with its stabiliser: the
+    (theta, conj) pairs of the automorphisms other than the identity that
+    fix that row.
 
-    Scans the sorted index tuples (endos is sorted by image vector, so they
-    sort like the tables they encode) and expands each unseen orbit once;
-    since the set is closed under relabeling, the first unseen member of
-    an orbit is its minimum, so this agrees with per-table canonicalize()
-    at a fraction of the cost.
+    With reduction a row is admissible when it is least in its conjugacy
+    class, since relabeling conjugates row 0; without it every row is,
+    with an empty stabiliser, so every leaf is kept.
     """
-    conjs = _conjugation_tables(g)
-    seen: set[tuple[int, ...]] = set()
-    reps: list[tuple[int, ...]] = []
-    for t in sorted(tables):
-        if t in seen:
-            continue
-        seen.update(tuple([conj[t[a]] for a in theta]) for theta, conj in conjs)
-        reps.append(t)
-    return reps
+    endos, _ = _endo_data(g)
+    if not iso_reduction:
+        return {e: () for e in range(len(endos))}
+    identity = tuple(range(g.order))
+    conjs = [c for c in _conjugation_tables(g) if c[0] != identity]
+    return {e: tuple(c for c in conjs if c[1][e] == e)
+            for e in range(len(endos))
+            if all(conj[e] >= e for _, conj in conjs)}
+
+
+def _is_least(t, stabiliser) -> bool:
+    """Whether no automorphism in the stabiliser of t[0] relabels the
+    index tuple t to a smaller one; compared entry by entry, stopping at
+    the first difference. Entry 0 is fixed, so the scan starts at 1."""
+    n = len(t)
+    for theta, conj in stabiliser:
+        for x in range(1, n):
+            v = conj[t[theta[x]]]
+            if v != t[x]:
+                if v < t[x]:
+                    return False
+                break
+    return True
 
 
 # -- census ---------------------------------------------------------------------
 
 def _worker_task(args):
+    """Search the given roots; return the kept index tuples, sorted, and
+    the attempt count."""
     add, endos, comp, roots = args
     counter = [0]
-    tables = sorted(_search(add, endos, comp, roots, counter))
-    return tables, counter[0]
+    kept = sorted(t for t in _search(add, endos, comp, roots, counter)
+                  if _is_least(t, roots[t[0]]))
+    return kept, counter[0]
 
 
-def _enumerate_tables(g: FiniteGroup, worker_count: int):
-    """Every complete assignment as a sorted list of index tuples, the
-    attempt count, and the number of workers used."""
+def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int):
+    """The kept index tuples, sorted, the attempt count, and the number
+    of workers used."""
     endos, comp = _endo_data(g)
-    all_roots = list(range(len(endos)))
-    if worker_count <= 1 or len(all_roots) <= 1:
-        counter = [0]
-        tables = sorted(_search(g.add, endos, comp, all_roots, counter))
-        return tables, counter[0], 1
-    buckets = [all_roots[w::worker_count] for w in range(worker_count)]
+    roots = _roots(g, iso_reduction)
+    if worker_count <= 1 or len(roots) <= 1:
+        kept, nodes = _worker_task((g.add, endos, comp, roots))
+        return kept, nodes, 1
+    rows = list(roots)
+    buckets = [rows[w::worker_count] for w in range(worker_count)]
     buckets = [b for b in buckets if b]
-    tasks = [(g.add, endos, comp, tuple(b)) for b in buckets]
-    tables: list[tuple[int, ...]] = []
+    tasks = [(g.add, endos, comp, {e: roots[e] for e in b}) for b in buckets]
+    kept: list[tuple[int, ...]] = []
     nodes = 0
     with ProcessPoolExecutor(max_workers=len(buckets)) as pool:
         for sub, count in pool.map(_worker_task, tasks):
-            tables.extend(sub)
+            kept.extend(sub)
             nodes += count
-    tables.sort()
-    return tables, nodes, len(buckets)
+    kept.sort()
+    return kept, nodes, len(buckets)
 
 
 def census(spec: SearchSpec) -> CensusResult:
-    """Drain the candidate stream, reduce up to isomorphism, classify, and
-    count. The result is independent of worker_count."""
+    """Enumerate the classes (or, without reduction, every table),
+    classify, and count. The result is independent of worker_count."""
     g = spec.group
     if g.order > MAX_ORDER:
         raise InputError(f"group order {g.order} exceeds {MAX_ORDER}")
     t0 = time.perf_counter()
-    tables, nodes, workers = _enumerate_tables(g, spec.worker_count)
-    if spec.iso_reduction:
-        tables = _iso_representatives(g, tables)
+    tables, nodes, workers = _enumerate_classes(g, spec.iso_reduction,
+                                                spec.worker_count)
     endos, _ = _endo_data(g)
     reps = [_decode(endos, t) for t in tables]
     # The stream is associative and left distributive by construction (a

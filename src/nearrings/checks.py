@@ -321,16 +321,11 @@ CHECK_IDS = tuple(cid for cid, _ in NEARRING_CHECKS + MODULE_CHECKS + TAIL_CHECK
 
 
 def run_suite(r: Nearring, instance_id: str | None = None) -> SuiteReport:
-    """Run every check on a nearring; module checks use its regular module.
-
-    The regular module is assembled without re-asserting the module
-    axioms so that diagnostic runs on axiom-violating tables still reach
-    the module-level checks.
-    """
+    """Run every check on a nearring; module checks use its regular module."""
     if instance_id is None:
         instance_id = r.label()
     verdicts = [fn(r) for _, fn in NEARRING_CHECKS]
-    m = regular_module(r, checked=False)
+    m = regular_module(r)
     verdicts.extend(fn(m) for _, fn in MODULE_CHECKS)
     verdicts.extend(fn(r) for _, fn in TAIL_CHECKS)
     overall = all(v.holds for v in verdicts if v.applicable)

@@ -336,12 +336,18 @@ def times(g: FiniteGroup, x: int, n: int) -> int:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _endomorphism_images(g: FiniteGroup, invertible_only: bool) -> tuple[tuple[int, ...], ...]:
+def iter_endomorphisms(g: FiniteGroup):
+    """Every additive endomorphism of g as an image vector, generated lazily
+    and unsorted, so a caller can stop after as many as it will accept.
+
+    Images are assigned on the stored generating set and each partial
+    assignment is closed under the addition law, so the work is bounded by
+    |G|^(#generators) roots instead of the |G|^|G| raw function space.
+    Distinct generator images give distinct maps, so nothing repeats.
+    """
     n = g.order
     add = g.add
     gens = g.generators
-    results: list[tuple[int, ...]] = []
 
     def close(mapping: dict[int, int], x0: int, u0: int) -> dict[int, int] | None:
         out = dict(mapping)
@@ -359,10 +365,10 @@ def _endomorphism_images(g: FiniteGroup, invertible_only: bool) -> tuple[tuple[i
                 stack.append((add[z][y], add[w][v]))
         return out
 
-    def extend(k: int, mapping: dict[int, int]) -> None:
+    def extend(k: int, mapping: dict[int, int]):
         if k == len(gens):
             assert len(mapping) == n, "generating set does not generate"
-            results.append(tuple(mapping[x] for x in range(n)))
+            yield tuple(mapping[x] for x in range(n))
             return
         x = gens[k]
         for u in range(n):
@@ -370,24 +376,18 @@ def _endomorphism_images(g: FiniteGroup, invertible_only: bool) -> tuple[tuple[i
                 continue  # image order must divide generator order
             nxt = close(mapping, x, u)
             if nxt is not None:
-                extend(k + 1, nxt)
+                yield from extend(k + 1, nxt)
 
-    extend(0, {0: 0})
-    out = sorted(set(results))
+    return extend(0, {0: 0})
+
+
+@lru_cache(maxsize=None)
+def endomorphisms(g: FiniteGroup, invertible_only: bool = False) -> tuple[tuple[int, ...], ...]:
+    """All additive endomorphisms (automorphisms if invertible_only) of g,
+    as image vectors sorted by image vector."""
     if invertible_only:
-        out = [im for im in out if len(set(im)) == n]
-    return tuple(out)
-
-
-def endomorphisms(g: FiniteGroup, invertible_only: bool = False) -> list[GroupMap]:
-    """All additive endomorphisms (automorphisms if invertible_only) of g.
-
-    Computed by assigning images on the stored generating set and closing
-    each partial assignment under the addition law, so the work is bounded
-    by |G|^(#generators) roots instead of the |G|^|G| raw function space.
-    Result is deduplicated and sorted by image vector.
-    """
-    return [GroupMap(g, g, im) for im in _endomorphism_images(g, invertible_only)]
+        return tuple(im for im in endomorphisms(g) if len(set(im)) == g.order)
+    return tuple(sorted(iter_endomorphisms(g)))
 
 
 def subgroups(g: FiniteGroup, normal_only: bool = False) -> list[Subgroup]:
@@ -414,17 +414,6 @@ def subgroups(g: FiniteGroup, normal_only: bool = False) -> list[Subgroup]:
 def _is_normal(g: FiniteGroup, members: frozenset[int]) -> bool:
     add, neg = g.add, g.neg
     return all(add[add[h][a]][neg[h]] in members for h in range(g.order) for a in members)
-
-
-def is_subgroup(g: FiniteGroup, members) -> bool:
-    s = set(members)
-    if 0 not in s or not s <= set(range(g.order)):
-        return False
-    return all(g.add[a][b] in s for a in s for b in s)
-
-
-def is_normal_subgroup(g: FiniteGroup, members) -> bool:
-    return is_subgroup(g, members) and _is_normal(g, frozenset(members))
 
 
 def p_component(g: FiniteGroup, p: int) -> Subgroup:

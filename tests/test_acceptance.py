@@ -124,7 +124,7 @@ def test_criterion_6_fault_injection(tmp_path, capsys):
     for cid, (spec, mul, _notes) in FILE_ENTRIES.items():
         r = build_unchecked(build_group(spec), mul)
         if cid in module_by_id:
-            verdict = module_by_id[cid](regular_module(r, checked=False))
+            verdict = module_by_id[cid](regular_module(r))
         else:
             verdict = by_id[cid](r)
         assert verdict.applicable and not verdict.holds, cid

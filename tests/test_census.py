@@ -91,7 +91,7 @@ def table_and_automorphism(draw):
     g = build_group(spec)
     tables = [c.mul for c in candidate_stream(g)]
     t = draw(st.sampled_from(tables))
-    auts = [m.images for m in endomorphisms(g, invertible_only=True)]
+    auts = endomorphisms(g, invertible_only=True)
     theta = draw(st.sampled_from(auts))
     return g, t, theta
 
@@ -105,7 +105,7 @@ def test_canonical_form_invariant_under_relabeling(data):
 
 def test_relabeled_table_is_still_a_nearring():
     g = build_group("S3")
-    auts = [m.images for m in endomorphisms(g, invertible_only=True)]
+    auts = endomorphisms(g, invertible_only=True)
     for cand in itertools.islice(candidate_stream(g), 10):
         for theta in auts:
             validate(CandidateMultiplication(g, relabel(g, cand.mul, theta)))
@@ -172,22 +172,25 @@ def test_census_filters():
     assert c.rep_flags[0].distributive
 
 
-def test_census_worker_determinism():
-    g = build_group("S3")
-    base = census(SearchSpec(g, worker_count=1))
-    for w in (2, 8):
-        c = census(SearchSpec(g, worker_count=w))
-        assert c.representatives == base.representatives
-        assert c.counts == base.counts
-        assert c.nodes_visited == base.nodes_visited
+def test_census_worker_determinism(census_of):
+    # Aut acts nontrivially on End of each of these groups, so roots are
+    # really filtered before they are split over the workers.
+    for spec, workers in (("S3", (2, 8)), ("D8", (2, 3)), ("Q8", (2, 3))):
+        g = build_group(spec)
+        base = census_of(spec)
+        for w in workers:
+            c = census(SearchSpec(g, worker_count=w))
+            assert c.representatives == base.representatives
+            assert c.counts == base.counts
+            assert c.nodes_visited == base.nodes_visited
 
 
 def test_representatives_are_canonical(census_of):
-    for spec in ("Z2", "Z3", "Z4", "S3"):
+    # Image-space canonicalize shares no code with the orderly search.
+    for spec in SWEEP_SPECS:
         c = census_of(spec)
-        g = c.group
         for rep in c.representatives:
-            assert canonicalize(g, rep) == rep
+            assert canonicalize(c.group, rep) == rep, spec
 
 
 def test_census_suite_z2():
@@ -250,25 +253,39 @@ def test_translation_embedding_over_census_instances(census_of):
 
 # -- index-space search and reduction ---------------------------------------------
 
-# Attempted choices per group. The closure's propagation order must not
-# change the search tree; a deliberate search change updates these.
+# Attempted choices per group, with and without reduction. The closure's
+# propagation order must not change either search tree; a deliberate
+# search change updates these. Without reduction element 0 takes every
+# row, so that tree is the full search. Z2xZ2xZ2 has no unreduced pin:
+# that search alone takes longer than the rest of the sweep.
 NODES_VISITED = {
+    "Z1": 1, "Z2": 6, "Z3": 18, "Z4": 56, "Z2xZ2": 614, "Z5": 105, "Z6": 564,
+    "S3": 895, "Z7": 553, "Z8": 2544, "Z2xZ4": 105102, "Z2xZ2xZ2": 21121038,
+    "D8": 130622, "Q8": 48335,
+}
+NODES_VISITED_NO_ISO = {
     "Z1": 1, "Z2": 6, "Z3": 18, "Z4": 56, "Z2xZ2": 944, "Z5": 105, "Z6": 564,
-    "S3": 1240, "Z7": 553, "Z8": 2544, "Z2xZ4": 119232, "Z2xZ2xZ2": 27688960,
-    "D8": 152568, "Q8": 48356,
+    "S3": 1240, "Z7": 553, "Z8": 2544, "Z2xZ4": 119232, "D8": 152568,
+    "Q8": 48356,
 }
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS)
 def test_search_tree_is_pinned(spec, census_of):
     assert census_of(spec).nodes_visited == NODES_VISITED[spec]
+    if spec in NODES_VISITED_NO_ISO:
+        unreduced = census_of(spec, iso_reduction=False)
+        assert unreduced.nodes_visited == NODES_VISITED_NO_ISO[spec]
 
 
 def test_census_refuses_oversized_endomorphism_monoid():
     # Z2xZ2xZ4 (|End| = 1024) is the largest named group the limit admits.
     assert len(endomorphisms(build_group("Z2xZ2xZ4"))) <= MAX_ENDOMORPHISMS
-    with pytest.raises(InputError, match=r"\|End\(Z2xZ2xZ2xZ2\)\| = 65536"):
+    cached = endomorphisms.cache_info().currsize
+    with pytest.raises(InputError, match=r"\|End\(Z2xZ2xZ2xZ2\)\| exceeds 1024"):
         census(SearchSpec(build_group("Z2xZ2xZ2xZ2")))
+    # Refused from the lazy stream: End(G) was never enumerated in full.
+    assert endomorphisms.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("spec", ["S3", "D8", "Z2xZ4"])
@@ -285,13 +302,13 @@ def test_conjugation_tables_match_relabel(spec):
             assert moved == relabel(g, t, theta)
 
 
-@pytest.mark.parametrize("spec", ["Z4", "Z2xZ2", "Z6", "S3", "Q8"])
+@pytest.mark.parametrize("spec", ["Z4", "Z2xZ2", "Z6", "S3", "Q8", "D8", "Z2xZ4"])
 def test_burnside_counts_the_orbit_reduction(spec, census_of):
     # Classes = (1/|Aut|) * sum over theta of the raw tables theta fixes,
     # counted with image-space relabel only.
     raw = census_of(spec, iso_reduction=False).representatives
     g = build_group(spec)
-    auts = [m.images for m in endomorphisms(g, invertible_only=True)]
+    auts = endomorphisms(g, invertible_only=True)
     fixed = sum(relabel(g, t, theta) == t for theta in auts for t in raw)
     assert fixed % len(auts) == 0
     assert fixed // len(auts) == census_of(spec).counts["total"]

@@ -28,7 +28,7 @@ MODULE_BY_ID = dict(MODULE_CHECKS)
 
 def run_check_by_id(cid, r):
     if cid in MODULE_BY_ID:
-        return MODULE_BY_ID[cid](regular_module(r, checked=False))
+        return MODULE_BY_ID[cid](regular_module(r))
     return CHECK_BY_ID[cid](r)
 
 

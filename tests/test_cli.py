@@ -162,12 +162,12 @@ def test_cmd_census_filter(tmp_path, capsys):
 
 
 def test_cmd_census_refuses_oversized_endomorphism_monoid(tmp_path, capsys):
-    # |End(Z2xZ2xZ2xZ2)| = 65536: refused before the composition table.
+    # |End(Z2xZ2xZ2xZ2)| = 65536: refused before End(G) is enumerated.
     out_path = tmp_path / "e16.jsonl"
     code, _, err = run_cli(capsys, "census", "Z2xZ2xZ2xZ2", "--out", str(out_path))
     assert code == 2
-    assert "|End(Z2xZ2xZ2xZ2)| = 65536" in err
-    assert str(65536 ** 2) in err
+    assert "|End(Z2xZ2xZ2xZ2)| exceeds 1024" in err
+    assert str(1024 ** 2) in err
     assert not out_path.exists()
 
 

@@ -255,7 +255,7 @@ def test_regular_module(ring_z6, s3_paper):
     assert m.carrier is ring_z6.group
     z = regular_module(builtin("zero:Z2"))
     assert z.action == ((0, 0), (0, 0))
-    regular_module(s3_paper)  # axiom scan passes
+    assert regular_module(s3_paper).action == s3_paper.mul
 
 
 def test_annihilator(ring_z6, s3_paper):
