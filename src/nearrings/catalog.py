@@ -101,7 +101,7 @@ def catalog_lines(result: CensusResult) -> list[str]:
     ]
     lines.append(_dump({"summary": {
         "group": spec,
-        "convention": result.convention,
+        "convention": "left",
         "iso_reduction": result.iso_reduction,
         "filters": list(result.filters),
         "counts": result.counts,

@@ -29,19 +29,21 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
     FLAG_TABLE,
     CandidateMultiplication,
+    Nearring,
     PropertyFlags,
     classify_table,
     count_flags,
-    validate,
+    find_identity,
 )
 from .checks import run_suite
-from .errors import InputError
+from .errors import InputError, NearringError
 from .groups import MAX_ORDER, FiniteGroup, Table, endomorphisms, iter_endomorphisms
 
 _FLAG_ATTR = {key: attr for key, attr, _ in FLAG_TABLE}
@@ -67,7 +69,6 @@ class SearchSpec:
 @dataclass
 class CensusResult:
     group: FiniteGroup
-    convention: str
     iso_reduction: bool
     filters: tuple[str, ...]
     counts: dict[str, int]
@@ -300,10 +301,14 @@ def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int):
     tasks = [(g.add, endos, comp, {e: roots[e] for e in b}) for b in buckets]
     kept: list[tuple[int, ...]] = []
     nodes = 0
-    with ProcessPoolExecutor(max_workers=len(buckets)) as pool:
-        for sub, count in pool.map(_worker_task, tasks):
-            kept.extend(sub)
-            nodes += count
+    try:
+        with ProcessPoolExecutor(max_workers=len(buckets)) as pool:
+            for sub, count in pool.map(_worker_task, tasks):
+                kept.extend(sub)
+                nodes += count
+    except BrokenProcessPool as exc:
+        raise NearringError(
+            f"a census worker process died (pool of {len(buckets)} workers): {exc}") from exc
     kept.sort()
     return kept, nodes, len(buckets)
 
@@ -320,8 +325,7 @@ def census(spec: SearchSpec) -> CensusResult:
     endos, _ = _endo_data(g)
     reps = [_decode(endos, t) for t in tables]
     # The stream is associative and left distributive by construction (a
-    # tested invariant), so only the flags are computed here; census_suite
-    # validates every class in full.
+    # tested invariant), so only the flags are computed here.
     flags = [classify_table(g, t) for t in reps]
     if spec.filters:
         keep = [
@@ -333,7 +337,6 @@ def census(spec: SearchSpec) -> CensusResult:
     counts = count_flags(flags)
     return CensusResult(
         group=g,
-        convention="left",
         iso_reduction=spec.iso_reduction,
         filters=tuple(spec.filters),
         counts=counts,
@@ -379,7 +382,6 @@ def brute_force_oracle(g: FiniteGroup) -> CensusResult:
     flags = [classify_table(g, t) for t in reps]
     return CensusResult(
         group=g,
-        convention="left",
         iso_reduction=True,
         filters=(),
         counts=count_flags(flags),
@@ -391,11 +393,16 @@ def brute_force_oracle(g: FiniteGroup) -> CensusResult:
 
 
 def census_suite(spec: SearchSpec):
-    """Validate every census representative in full and run the check
-    suite on it, yielding one report per class, named "<group>[i]"."""
+    """Run the check suite on every census class, yielding one report per
+    class, named "<group>[i]".
+
+    The suite runs on the classified classes as the census built them,
+    with no re-validation: every row is an endomorphism (left
+    distributivity), every leaf satisfies the closure law (associativity),
+    and the flags come from the classify_table that validate calls.
+    """
     result = census(spec)
-    label = result.group.label()
-    for i, rep in enumerate(result.representatives):
-        r = validate(CandidateMultiplication(result.group, rep),
-                     name=f"{label}[{i}]")
-        yield run_suite(r)
+    g = result.group
+    label = g.label()
+    for i, (rep, flags) in enumerate(zip(result.representatives, result.rep_flags)):
+        yield run_suite(Nearring(g, rep, find_identity(g, rep), flags, f"{label}[{i}]"))

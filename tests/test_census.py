@@ -17,7 +17,7 @@ from nearrings.census import (
     census_suite,
     relabel,
 )
-from nearrings.checks import summarize_reports
+from nearrings.checks import run_suite, summarize_reports
 from nearrings.core import CandidateMultiplication, validate
 from nearrings.errors import InputError
 from nearrings.groups import build_group, endomorphisms
@@ -193,11 +193,23 @@ def test_representatives_are_canonical(census_of):
             assert canonicalize(c.group, rep) == rep, spec
 
 
-def test_census_suite_z2():
+def test_census_suite_z2(census_of):
     reports = list(census_suite(SearchSpec(build_group("Z2"))))
     assert len(reports) == 3
     assert all(r.overall for r in reports)
     assert [r.instance for r in reports] == ["Z2[0]", "Z2[1]", "Z2[2]"]
+    # census_suite runs the suite on the census's classes without
+    # re-validating them; every report must equal the one the full
+    # validate path gives.
+    for label in ("Z2", "Z6", "S3", "Q8", "Z12"):
+        g = build_group(label)
+        reports = list(census_suite(SearchSpec(g)))
+        reps = census_of(label).representatives
+        assert len(reports) == len(reps), label
+        for i, (rep, report) in enumerate(zip(reps, reports)):
+            expected = run_suite(validate(CandidateMultiplication(g, rep),
+                                          name=f"{label}[{i}]"))
+            assert report.as_dict() == expected.as_dict(), (label, i)
 
 
 def test_census_suite_z7_odd_order_instances_are_rings():

@@ -1,4 +1,6 @@
+import importlib
 import json
+import os
 
 import pytest
 
@@ -168,6 +170,22 @@ def test_cmd_census_refuses_oversized_endomorphism_monoid(tmp_path, capsys):
     assert code == 2
     assert "|End(Z2xZ2xZ2xZ2)| exceeds 1024" in err
     assert str(1024 ** 2) in err
+    assert not out_path.exists()
+
+
+def _die(args):
+    os._exit(1)
+
+
+def test_cmd_census_dead_worker_exits_2(tmp_path, capsys, monkeypatch):
+    # Workers are forked, so they inherit the patched task and die at once.
+    # `nearrings.census` as an attribute is the function, not the module.
+    monkeypatch.setattr(importlib.import_module("nearrings.census"), "_worker_task", _die)
+    out_path = tmp_path / "s3.jsonl"
+    code, _, err = run_cli(capsys, "census", "S3", "--workers", "2", "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "2 workers" in err
     assert not out_path.exists()
 
 
