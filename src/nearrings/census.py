@@ -10,18 +10,22 @@ fails fast: each forced assignment is checked as soon as it is derived.
 
 A table is a tuple of indices into the endomorphisms sorted by image
 vector, so index tuples sort exactly like the tables they encode. The
-census is orderly (isomorph-free generation in McKay's sense): every
-automorphism theta fixes element 0, so relabeling conjugates row 0, and
-the lex-least table of a class has a row 0 that is least in its
-conjugacy class. Element 0 takes only those rows, and a leaf is kept
-only if no automorphism fixing its row 0 relabels it to a smaller tuple,
-through one conjugation table per automorphism (n lookups). No raw table
-is stored, so memory grows with the classes found; only kept tables
-(or, without reduction, every table) are decoded to image tables.
-Groups with more than MAX_ENDOMORPHISMS endomorphisms are refused before
-End(G) is enumerated in full. `relabel` and `canonicalize` work on image
-tables, as an independent path, and a raw n^(n^2) oracle is kept for
-orders up to 3.
+census is orderly (isomorph-free generation in the sense of Read and
+Faradzev): every automorphism theta fixes element 0, so relabeling
+conjugates row 0, and the lex-least table of a class has a row 0 that is
+least in its conjugacy class. Element 0 takes only those rows. Below a
+root, every partial table is put to the lex-leader test against the
+automorphisms fixing its row 0, through one conjugation table per
+automorphism: where one already relabels the assigned entries to
+something smaller, the subtree is cut, since every completion keeps those
+entries; an automorphism that relabels them to something larger is
+dropped for the subtree. The same test keeps a leaf only if it is least.
+No raw table is stored, so memory grows with the classes found; only
+kept tables (or, without reduction, every table) are decoded to image
+tables. Groups with more than MAX_ENDOMORPHISMS endomorphisms are refused
+before End(G) is enumerated in full. `relabel` and `canonicalize` work on
+image tables, as an independent path, and a raw n^(n^2) oracle is kept
+for orders up to 3.
 """
 
 from __future__ import annotations
@@ -114,12 +118,22 @@ def _decode(endos, t) -> Table:
 
 
 def _search(add, endos, comp, roots, counter):
-    """DFS over endomorphism assignments with closure propagation.
+    """DFS over endomorphism assignments with closure propagation and
+    partial lex-leader pruning.
+
+    `roots` maps each row element 0 may take to its stabiliser, the
+    (theta, conj) pairs that fix that row (see `_roots`). After every
+    successful assignment, the root's included, `_lex_test` checks the
+    partial table against the pairs still open on this branch: a subtree
+    is cut where one relabels the assigned entries to something smaller,
+    and a pair decided larger is not passed down. With empty stabilisers
+    nothing is cut and the search is the full one.
 
     `counter[0]` accumulates the number of attempted choices; forced
     assignments made by propagation are not counted. Yields each complete
     assignment as a tuple t of endomorphism indices (row x of the table is
-    endos[t[x]]) in deterministic DFS order.
+    endos[t[x]]) in deterministic DFS order, which is lex order: siblings
+    first differ at the branching position, with e increasing.
     """
     n = len(add)
     assign: list[int | None] = [None] * n
@@ -167,7 +181,7 @@ def _search(add, endos, comp, roots, counter):
                     return False
         return True
 
-    def extend(pos: int):
+    def extend(pos: int, active):
         while pos < n and assign[pos] is not None:
             pos += 1
         if pos == n:
@@ -178,12 +192,14 @@ def _search(add, endos, comp, roots, counter):
         for e in choices:
             counter[0] += 1
             if close(pos, e):
-                yield from extend(pos + 1)
+                sub = _lex_test(assign, roots[e] if pos == 0 else active)
+                if sub is not None:
+                    yield from extend(pos + 1, sub)
             for y in done[mark:]:
                 assign[y] = None
             del done[mark:]
 
-    yield from extend(0)
+    yield from extend(0, ())
 
 
 def candidate_stream(g: FiniteGroup):
@@ -193,7 +209,7 @@ def candidate_stream(g: FiniteGroup):
         raise InputError(f"group order {g.order} exceeds {MAX_ORDER}")
     endos, comp = _endo_data(g)
     counter = [0]
-    for t in _search(g.add, endos, comp, range(len(endos)), counter):
+    for t in _search(g.add, endos, comp, _roots(g, False), counter):
         yield CandidateMultiplication(g, _decode(endos, t))
 
 
@@ -260,30 +276,51 @@ def _roots(g: FiniteGroup, iso_reduction: bool):
             if all(conj[e] >= e for _, conj in conjs)}
 
 
+def _lex_test(t, active):
+    """The lex-leader test of a partial index tuple t (None marks an
+    unassigned entry) against (theta, conj) pairs that fix t[0].
+
+    Each relabeling t'[x] = conj[t[theta[x]]] is compared with t entry by
+    entry from x = 1 (entry 0 is fixed), up to the first x where t[x] or
+    t[theta[x]] is unassigned. Returns None if some t' is already smaller
+    at its first difference: every completion keeps the compared entries,
+    so none is least. Otherwise returns the pairs still open, dropping
+    those already larger, or equal on a complete t, since no completion
+    can make them smaller.
+    """
+    n = len(t)
+    still_open = []
+    for pair in active:
+        theta, conj = pair
+        for x in range(1, n):
+            a = t[x]
+            b = t[theta[x]]
+            if a is None or b is None:
+                still_open.append(pair)
+                break
+            v = conj[b]
+            if v != a:
+                if v < a:
+                    return None
+                break
+    return still_open
+
+
 def _is_least(t, stabiliser) -> bool:
     """Whether no automorphism in the stabiliser of t[0] relabels the
-    index tuple t to a smaller one; compared entry by entry, stopping at
-    the first difference. Entry 0 is fixed, so the scan starts at 1."""
-    n = len(t)
-    for theta, conj in stabiliser:
-        for x in range(1, n):
-            v = conj[t[theta[x]]]
-            if v != t[x]:
-                if v < t[x]:
-                    return False
-                break
-    return True
+    complete index tuple t to a smaller one."""
+    return _lex_test(t, stabiliser) is not None
 
 
 # -- census ---------------------------------------------------------------------
 
 def _worker_task(args):
-    """Search the given roots; return the kept index tuples, sorted, and
-    the attempt count."""
+    """Search the given roots; return the kept index tuples, in the lex
+    order the search yields them, and the attempt count."""
     add, endos, comp, roots = args
     counter = [0]
-    kept = sorted(t for t in _search(add, endos, comp, roots, counter)
-                  if _is_least(t, roots[t[0]]))
+    kept = [t for t in _search(add, endos, comp, roots, counter)
+            if _is_least(t, roots[t[0]])]
     return kept, counter[0]
 
 

@@ -267,13 +267,17 @@ def test_translation_embedding_over_census_instances(census_of):
 
 # Attempted choices per group, with and without reduction. The closure's
 # propagation order must not change either search tree; a deliberate
-# search change updates these. Without reduction element 0 takes every
-# row, so that tree is the full search. Z2xZ2xZ2 has no unreduced pin:
-# that search alone takes longer than the rest of the sweep.
+# search change updates these. With reduction, every partial table is cut
+# as soon as an automorphism fixing its row 0 relabels its assigned
+# entries to something smaller; this cuts cyclic groups too, since
+# End(Zn) is commutative and every root keeps all of Aut. Without
+# reduction element 0 takes every row with an empty stabiliser, so that
+# tree is the full search. Z2xZ2xZ2 has no unreduced pin: that search
+# alone takes longer than the rest of the sweep.
 NODES_VISITED = {
-    "Z1": 1, "Z2": 6, "Z3": 18, "Z4": 56, "Z2xZ2": 614, "Z5": 105, "Z6": 564,
-    "S3": 895, "Z7": 553, "Z8": 2544, "Z2xZ4": 105102, "Z2xZ2xZ2": 21121038,
-    "D8": 130622, "Q8": 48335,
+    "Z1": 1, "Z2": 6, "Z3": 18, "Z4": 52, "Z2xZ2": 374, "Z5": 75, "Z6": 522,
+    "S3": 505, "Z7": 259, "Z8": 1424, "Z2xZ4": 35598, "Z2xZ2xZ2": 458766,
+    "D8": 36014, "Q8": 7791,
 }
 NODES_VISITED_NO_ISO = {
     "Z1": 1, "Z2": 6, "Z3": 18, "Z4": 56, "Z2xZ2": 944, "Z5": 105, "Z6": 564,
@@ -312,6 +316,18 @@ def test_conjugation_tables_match_relabel(spec):
             idx = [index[row] for row in t]
             moved = tuple(endos[conj[idx[theta[x]]]] for x in range(g.order))
             assert moved == relabel(g, t, theta)
+
+
+@pytest.mark.parametrize("spec", ["Z2xZ2", "S3", "Z8", "Z12"])
+def test_representatives_are_the_orbit_minima(spec, census_of):
+    # The orbit minima of the full unpruned search, by image-space
+    # canonicalize, are exactly the classes the pruned search keeps, and
+    # they come out strictly increasing with no sort.
+    g = build_group(spec)
+    reps = list(census_of(spec).representatives)
+    raw = census_of(spec, iso_reduction=False).representatives
+    assert reps == sorted({canonicalize(g, t) for t in raw})
+    assert all(a < b for a, b in zip(reps, reps[1:]))
 
 
 @pytest.mark.parametrize("spec", ["Z4", "Z2xZ2", "Z6", "S3", "Q8", "D8", "Z2xZ4"])
