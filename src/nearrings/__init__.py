@@ -11,7 +11,6 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    GroupMap,
     Subgroup,
     build_group,
     element_order,
@@ -26,7 +25,6 @@ from .core import (
     Nearring,
     PropertyFlags,
     RModule,
-    TranslationEmbedding,
     annihilator,
     builtin,
     classify,
@@ -36,7 +34,6 @@ from .core import (
     is_ideal,
     is_simple,
     regular_module,
-    translation_embedding,
     units,
     validate,
 )

@@ -20,12 +20,20 @@ automorphism: where one already relabels the assigned entries to
 something smaller, the subtree is cut, since every completion keeps those
 entries; an automorphism that relabels them to something larger is
 dropped for the subtree. The same test keeps a leaf only if it is least.
-No raw table is stored, so memory grows with the classes found; only
-kept tables (or, without reduction, every table) are decoded to image
-tables. Groups with more than MAX_ENDOMORPHISMS endomorphisms are refused
-before End(G) is enumerated in full. `relabel` and `canonicalize` work on
-image tables, as an independent path, and a raw n^(n^2) oracle is kept
-for orders up to 3.
+No raw table is stored, so memory grows with the classes found.
+
+Kept classes are classified as index tuples too: a law of the form
+(a+b)c = ac+bc says row a+b is the pointwise sum of rows a and b, so
+distributivity and semidistributivity take n^2 lookups of sums of
+endomorphisms instead of an n^3 table scan, and zero symmetry and the
+identity are read off the rows. Only the classes that pass the filters
+are decoded to image tables; `core.classify_table` stays the
+image-space path and the independent reference.
+
+Groups with more than MAX_ENDOMORPHISMS endomorphisms are refused before
+End(G) is enumerated in full. `relabel` and `canonicalize` work on image
+tables, as an independent path, and a raw n^(n^2) oracle is kept for
+orders up to 3.
 """
 
 from __future__ import annotations
@@ -350,9 +358,90 @@ def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int):
     return kept, nodes, len(buckets)
 
 
+class _RowLaw(dict):
+    """A law of the form "row op(a, b) is the pointwise op of rows a and
+    b", decided on index tuples.
+
+    `op` is a table on the group: op[u][v] = u+v gives right
+    distributivity, (a+b)c = ac+bc, and op[u][v] = u+v+u gives
+    semidistributivity, (a+b+a)c = ac+bc+ac. As a dict the law maps (e, f)
+    to the index of the map x -> op[e(x)][f(x)], or -1 when that map is not
+    an endomorphism; each entry is computed on first use. The order of e
+    and f matters: e+f+e is not f+e+f, and e+f is not f+e on a
+    nonabelian group.
+    """
+
+    def __init__(self, endos, index, op):
+        super().__init__()
+        n = len(op)
+        self.endos, self.index, self.op = endos, index, op
+        self.pairs = tuple((a, b, op[a][b]) for a in range(n) for b in range(n))
+
+    def __missing__(self, key):
+        e, f = key
+        op = self.op
+        v = self.index.get(
+            tuple(op[u][w] for u, w in zip(self.endos[e], self.endos[f])), -1)
+        self[key] = v
+        return v
+
+    def holds(self, t) -> bool:
+        """Whether row t[op(a, b)] is the pointwise op of rows t[a] and
+        t[b] for all a, b: n^2 lookups instead of an n^3 table scan."""
+        for a, b, ab in self.pairs:
+            if t[ab] != self[t[a], t[b]]:
+                return False
+        return True
+
+
+class _IndexClassifier:
+    """The property flags and identity of index tuples over one group's
+    sorted endomorphisms, equal to classify_table and find_identity on the
+    decoded table. Built per census: its sum tables grow with the rows the
+    census meets, never to |End|^2 up front.
+    """
+
+    def __init__(self, g: FiniteGroup, endos):
+        n, add = g.order, g.add
+        index = {im: i for i, im in enumerate(endos)}
+        self.endos = endos
+        self.abelian = g.abelian
+        self.one = index[tuple(range(n))]
+        self.distributive = _RowLaw(endos, index, add)
+        self.semidistributive = _RowLaw(endos, index, tuple(
+            tuple(add[add[u][v]][u] for v in range(n)) for u in range(n)))
+
+    def identity(self, t) -> int | None:
+        """The u whose row is the identity map and with x*u = x for all x."""
+        one, endos = self.one, self.endos
+        for u, e in enumerate(t):
+            if e == one and all(endos[f][u] == x for x, f in enumerate(t)):
+                return u
+        return None
+
+    def flags(self, t) -> PropertyFlags:
+        # Right distributivity implies semidistributivity, so only a
+        # semidistributive tuple needs the second test. The zero map is
+        # the least image vector, so x*y = 0 for all y iff t[x] == 0.
+        sd = self.semidistributive.holds(t)
+        return _flag_set(t[0] == 0, sd, sd and self.distributive.holds(t),
+                         self.identity(t) is not None, self.abelian)
+
+
+@lru_cache(maxsize=None)
+def _flag_set(*values) -> PropertyFlags:
+    """One shared PropertyFlags per combination of values, in field order;
+    a census holds a handful of distinct flag sets, not one per class."""
+    return PropertyFlags(*values)
+
+
 def census(spec: SearchSpec) -> CensusResult:
     """Enumerate the classes (or, without reduction, every table),
-    classify, and count. The result is independent of worker_count."""
+    classify, filter and count. The result is independent of worker_count.
+
+    Classes are classified and filtered as index tuples (`_IndexClassifier`);
+    only the kept ones are decoded to tables.
+    """
     g = spec.group
     if g.order > MAX_ORDER:
         raise InputError(f"group order {g.order} exceeds {MAX_ORDER}")
@@ -360,16 +449,16 @@ def census(spec: SearchSpec) -> CensusResult:
     tables, nodes, workers = _enumerate_classes(g, spec.iso_reduction,
                                                 spec.worker_count)
     endos, _ = _endo_data(g)
-    reps = [_decode(endos, t) for t in tables]
     # The stream is associative and left distributive by construction (a
     # tested invariant), so only the flags are computed here.
-    flags = [classify_table(g, t) for t in reps]
+    classifier = _IndexClassifier(g, endos)
+    flags = [classifier.flags(t) for t in tables]
     if spec.filters:
         keep = [
             i for i, f in enumerate(flags)
             if all(getattr(f, _FLAG_ATTR[name]) for name in spec.filters)
         ]
-        reps = [reps[i] for i in keep]
+        tables = [tables[i] for i in keep]
         flags = [flags[i] for i in keep]
     counts = count_flags(flags)
     return CensusResult(
@@ -377,7 +466,7 @@ def census(spec: SearchSpec) -> CensusResult:
         iso_reduction=spec.iso_reduction,
         filters=tuple(spec.filters),
         counts=counts,
-        representatives=tuple(reps),
+        representatives=tuple(_decode(endos, t) for t in tables),
         rep_flags=tuple(flags),
         nodes_visited=nodes,
         elapsed=time.perf_counter() - t0,
@@ -436,10 +525,12 @@ def census_suite(spec: SearchSpec):
     The suite runs on the classified classes as the census built them,
     with no re-validation: every row is an endomorphism (left
     distributivity), every leaf satisfies the closure law (associativity),
-    and the flags come from the classify_table that validate calls.
+    and the flags equal the classify_table that validate calls (a tested
+    invariant). The identity is looked up only where the flags have one.
     """
     result = census(spec)
     g = result.group
     label = g.label()
     for i, (rep, flags) in enumerate(zip(result.representatives, result.rep_flags)):
-        yield run_suite(Nearring(g, rep, find_identity(g, rep), flags, f"{label}[{i}]"))
+        identity = find_identity(g, rep) if flags.has_identity else None
+        yield run_suite(Nearring(g, rep, identity, flags, f"{label}[{i}]"))

@@ -9,15 +9,13 @@ predicate is a pure function of the tables.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .errors import AxiomViolation, InputError, InvariantViolation, PreconditionError
 from .groups import (
     FiniteGroup,
-    GroupMap,
     Table,
     build_group,
-    is_homomorphism,
     subgroups,
 )
 
@@ -31,7 +29,8 @@ class PropertyFlags:
     abelian_addition: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return asdict(self)
+        # Every field is a bool, so a flat copy is the whole dict.
+        return dict(vars(self))
 
 
 # The census flags, one row each: count and filter key, PropertyFlags field,
@@ -100,20 +99,6 @@ class RModule:
     carrier: FiniteGroup
     ring: Nearring
     action: Table
-
-
-@dataclass(frozen=True)
-class TranslationEmbedding:
-    """Left translations y -> s*y of a nearring with identity, as group maps.
-
-    `composition_rule` records whether composing translations (right map
-    applied first) matches the translation of s*t, of t*s, or both.
-    """
-
-    ring: Nearring
-    translations: tuple[GroupMap, ...]
-    unit_translations: tuple[GroupMap, ...]
-    composition_rule: str
 
 
 # -- validation and classification -------------------------------------------
@@ -249,55 +234,6 @@ def distributive_elements(r: Nearring) -> tuple[int, ...]:
     """All t such that (r+s)t = rt + st for every pair r, s."""
     bad = {t for (_, _, t), _, _ in law_failures(r.group, r.mul, "right-distributivity")}
     return tuple(t for t in range(r.order) if t not in bad)
-
-
-def translation_embedding(r: Nearring) -> TranslationEmbedding:
-    """Build the left-translation maps s -> (y -> s*y) and verify their laws.
-
-    Verifies that every translation is an additive endomorphism, that the
-    element-to-translation map is injective and compatible with
-    multiplication, that applying translations to the identity recovers
-    the elements, and that unit translations are automorphisms recovering
-    exactly the units. Any failure raises InvariantViolation since these
-    are guaranteed for valid nearrings with identity.
-    """
-    if r.identity is None:
-        raise PreconditionError("translation embedding needs an identity element")
-    g, mul, i = r.group, r.mul, r.identity
-    n = r.order
-    translations = []
-    for s in range(n):
-        images = mul[s]
-        if not is_homomorphism(g, g, images):
-            raise InvariantViolation(
-                f"left translation by {s} is not an additive endomorphism")
-        translations.append(GroupMap(g, g, images))
-    if len({t.images for t in translations}) != n:
-        raise InvariantViolation("element-to-translation map is not injective")
-    hom = all(
-        translations[s].compose(translations[t]).images == translations[mul[s][t]].images
-        for s in range(n) for t in range(n))
-    anti = all(
-        translations[s].compose(translations[t]).images == translations[mul[t][s]].images
-        for s in range(n) for t in range(n))
-    if not (hom or anti):
-        raise InvariantViolation("translations are not multiplication-compatible")
-    if hom and anti:
-        rule = "either order (commutative multiplication)"
-    elif hom:
-        rule = "compose(s,t) = translation(s*t)"
-    else:
-        rule = "compose(s,t) = translation(t*s)"
-    if sorted(t.images[i] for t in translations) != list(range(n)):
-        raise InvariantViolation("applying translations to the identity must recover R")
-    us = units(r)
-    unit_translations = tuple(translations[u] for u in us)
-    for t in unit_translations:
-        if not t.is_bijective():
-            raise InvariantViolation("unit translation is not an automorphism")
-    if tuple(sorted(t.images[i] for t in unit_translations)) != us:
-        raise InvariantViolation("unit translations applied to the identity must recover the units")
-    return TranslationEmbedding(r, tuple(translations), unit_translations, rule)
 
 
 # -- ideals -------------------------------------------------------------------

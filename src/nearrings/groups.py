@@ -64,26 +64,6 @@ class FiniteGroup:
 
 
 @dataclass(frozen=True)
-class GroupMap:
-    """A homomorphism between groups, stored as its image vector."""
-
-    source: FiniteGroup
-    target: FiniteGroup
-    images: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def compose(self, other: "GroupMap") -> "GroupMap":
-        """self after other: x goes through `other` first, then `self`."""
-        return GroupMap(other.source, self.target,
-                        tuple(self.images[y] for y in other.images))
-
-    def is_bijective(self) -> bool:
-        return len(set(self.images)) == len(self.images)
-
-
-@dataclass(frozen=True)
 class Subgroup:
     parent: FiniteGroup
     members: tuple[int, ...]  # sorted

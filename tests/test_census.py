@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from conftest import SWEEP_SPECS
 from nearrings.census import (
+    FILTER_NAMES,
     MAX_ENDOMORPHISMS,
     SearchSpec,
+    _IndexClassifier,
     _conjugation_tables,
     _endo_data,
     brute_force_oracle,
@@ -18,7 +20,13 @@ from nearrings.census import (
     relabel,
 )
 from nearrings.checks import run_suite, summarize_reports
-from nearrings.core import CandidateMultiplication, validate
+from nearrings.core import (
+    FLAG_TABLE,
+    CandidateMultiplication,
+    classify_table,
+    find_identity,
+    validate,
+)
 from nearrings.errors import InputError
 from nearrings.groups import build_group, endomorphisms
 
@@ -172,6 +180,21 @@ def test_census_filters():
     assert c.rep_flags[0].distributive
 
 
+@pytest.mark.parametrize("spec", ["S3", "Z2xZ4", "D8"])
+def test_filtered_census_is_the_filtered_full_census(spec, census_of):
+    # Filters run on index tuples before decoding; the kept classes must be
+    # exactly those of the full census whose flags hold every filter.
+    g = build_group(spec)
+    full = census_of(spec)
+    attr = {key: a for key, a, _ in FLAG_TABLE}
+    for filters in [(f,) for f in FILTER_NAMES] + [("with_identity", "semidistributive")]:
+        c = census(SearchSpec(g, filters=filters))
+        kept = [(rep, fl) for rep, fl in zip(full.representatives, full.rep_flags)
+                if all(getattr(fl, attr[f]) for f in filters)]
+        assert list(zip(c.representatives, c.rep_flags)) == kept, (spec, filters)
+        assert c.counts["total"] == len(kept)
+
+
 def test_census_worker_determinism(census_of):
     # Aut acts nontrivially on End of each of these groups, so roots are
     # really filtered before they are split over the workers.
@@ -244,23 +267,32 @@ def test_odd_order_censuses_make_rings(census_of):
         assert seen >= 1, spec
 
 
-def test_translation_embedding_over_census_instances(census_of):
-    # every census class with an identity admits the translation embedding,
-    # and applying unit translations to the identity recovers the units
-    from nearrings.core import translation_embedding, units
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "Z2xZ4", "Z2xZ6", "Z12"])
+def test_index_space_flags_match_classify_table(spec, census_of):
+    # The census classifies index tuples with n^2 row-sum lookups. On every
+    # class its flags and identity must equal the n^3 image-space scans of
+    # the decoded table. Z2xZ6, D8 and Z2xZ4 have classes that are
+    # semidistributive but not distributive, so the two laws are told
+    # apart; S3, D8 and Q8 are nonabelian.
+    g = build_group(spec)
+    c = census_of(spec)
+    endos, _ = _endo_data(g)
+    index = {im: i for i, im in enumerate(endos)}
+    classifier = _IndexClassifier(g, endos)
+    for rep, flags in zip(c.representatives, c.rep_flags):
+        assert flags == classify_table(g, rep), (spec, rep)
+        assert classifier.identity(tuple(index[row] for row in rep)) == find_identity(g, rep)
+    if spec in ("Z2xZ6", "D8", "Z2xZ4"):
+        assert any(f.semidistributive and not f.distributive for f in c.rep_flags)
 
-    for spec in ("Z4", "Z2xZ2", "Z6"):
-        c = census_of(spec)
-        seen = 0
-        for rep in c.representatives:
-            r = validate(CandidateMultiplication(c.group, rep))
-            if r.identity is None:
-                continue
-            emb = translation_embedding(r)
-            seen += 1
-            recovered = tuple(sorted(t.images[r.identity] for t in emb.unit_translations))
-            assert recovered == units(r)
-        assert seen >= 1
+
+def test_d12_golden_counts():
+    # Recorded with the image-space classify_table before the census
+    # classified in index space; D12 is the largest census in the suite
+    # (about 3 s).
+    c = census(SearchSpec(build_group("D12")))
+    assert c.counts == {"total": 48137, "with_identity": 1, "zero_symmetric": 46347,
+                        "semidistributive": 69, "distributive": 17}
 
 
 # -- index-space search and reduction ---------------------------------------------

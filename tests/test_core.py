@@ -18,7 +18,6 @@ from nearrings.core import (
     law_failure,
     law_failures,
     regular_module,
-    translation_embedding,
     units,
     validate,
 )
@@ -188,36 +187,6 @@ def test_distributive_elements(s3_paper, ring_z6):
     assert mul[g.add[1][3]][3] == 4
     assert g.add[mul[1][3]][mul[3][3]] == 3
     assert distributive_elements(ring_z6) == (0, 1, 2, 3, 4, 5)
-
-
-def test_translation_embedding_ring(ring_z6):
-    emb = translation_embedding(ring_z6)
-    assert len(emb.translations) == 6
-    assert [t.images for t in emb.unit_translations] == [
-        (0, 1, 2, 3, 4, 5),  # multiplication by 1
-        (0, 5, 4, 3, 2, 1),  # multiplication by 5 = negation
-    ]
-    assert sorted(t.images[ring_z6.identity] for t in emb.unit_translations) == [1, 5]
-    assert emb.composition_rule == "either order (commutative multiplication)"
-
-
-def test_translation_embedding_z2():
-    emb = translation_embedding(builtin("ring:Z2"))
-    assert [t.images for t in emb.translations] == [(0, 0), (0, 1)]
-
-
-def test_translation_identity_is_identity_map():
-    for name in ("ring:Z4", "ring:Z7", "map-z2"):
-        r = builtin(name)
-        emb = translation_embedding(r)
-        assert emb.translations[r.identity].images == tuple(range(r.order))
-
-
-def test_translation_embedding_noncommutative_rule():
-    m = builtin("map-z2")
-    emb = translation_embedding(m)
-    assert emb.composition_rule == "compose(s,t) = translation(s*t)"
-    assert {t.images[m.identity] for t in emb.unit_translations} == set(units(m))
 
 
 def test_is_ideal(ring_z6, s3_paper):
