@@ -13,10 +13,8 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     build_group,
-    element_order,
     endomorphisms,
     exponent,
-    is_abelian,
     p_component,
     subgroups,
 )

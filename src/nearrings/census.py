@@ -7,6 +7,13 @@ phi_(phi_x(y)) = phi_x o phi_y. The search therefore assigns endomorphism
 indices to elements in index order with incremental constraint
 propagation, instead of scanning all n^(n^2) raw tables. The propagation
 fails fast: each forced assignment is checked as soon as it is derived.
+Below the root, a node tries only the rows that pass a bitmask screen
+(`_Screen`): two necessary conditions of the closure law that compare a
+row only with entries assigned before the attempt, decided for all rows
+at once, as the finite model finders SEM and Mace4 filter domains by
+propagation. `close` stays the authority on every row that passes, so
+the search tree, and the attempt count of one per candidate row, are
+those of a loop over every row.
 
 A table is a tuple of indices into the endomorphisms sorted by image
 vector, so index tuples sort exactly like the tables they encode. The
@@ -125,6 +132,93 @@ def _decode(endos, t) -> Table:
     return tuple(map(endos.__getitem__, t))
 
 
+class _Screen:
+    """Bitmask pre-screen of a DFS node's candidate rows.
+
+    A mask is a Python int over endomorphism indices, bit e for row e.
+    `broken` and `rows` apply two necessary conditions of the closure law
+    phi_(phi_y(z)) = phi_y o phi_z for a row e tried at a free position
+    pos, each comparing e only with entries assigned before the attempt:
+
+    (A) for assigned z and w with e(z) = w, e o t[z] = t[w] (y = pos);
+    (B) for assigned z and w = t[z](pos), t[z] o e = t[w] (z and y = pos
+        swapped).
+
+    (A) does not depend on pos, so the DFS carries its mask down and
+    extends it only with the pairs that touch newly assigned elements.
+    `close` fails on every row either condition drops and stays the
+    authority on every row that passes. The masks are built on first use,
+    never as |End|^2 masks up front: at[z][w] = {e : e(z) = w} per census,
+    and per row h, right[h][c] = {e : e o h = c} and left[h][c] =
+    {e : h o e = c}.
+    """
+
+    def __init__(self, endos, comp):
+        n = len(endos[0])
+        self.endos = endos
+        self.at = [[0] * n for _ in range(n)]
+        for e, img in enumerate(endos):
+            bit = 1 << e
+            for z, w in enumerate(img):
+                self.at[z][w] |= bit
+        self.right = _CompositionMasks(lambda h: (row[h] for row in comp))
+        self.left = _CompositionMasks(comp.__getitem__)
+
+    def broken(self, assign, done, since):
+        """The rows that (A) drops on the pairs (z, w) of assigned
+        elements with z or w in done[since:]."""
+        at, right = self.at, self.right
+        new = done[since:]
+        bad = 0
+        for i, z in enumerate(done):
+            atz = at[z]
+            rz = right[assign[z]]
+            for w in (done if i >= since else new):
+                a = atz[w]
+                if a:
+                    bad |= a & ~rz.get(assign[w], 0)
+        return bad
+
+    def rows(self, assign, done, pos, allowed):
+        """The rows of `allowed`, the carried (A) mask, that (B) keeps
+        at pos."""
+        endos, left = self.endos, self.left
+        mask = allowed
+        for z in done:
+            h = assign[z]
+            c = assign[endos[h][pos]]
+            if c is not None:
+                mask &= left[h].get(c, 0)
+                if not mask:
+                    break
+        return mask
+
+
+class _CompositionMasks(dict):
+    """Row h -> {c: mask of the rows e whose composite with h is c}, where
+    values(h) lists the composite index for each e in order; each entry
+    is computed on first use."""
+
+    def __init__(self, values):
+        super().__init__()
+        self.values = values
+
+    def __missing__(self, h):
+        masks: dict[int, int] = {}
+        for e, c in enumerate(self.values(h)):
+            masks[c] = masks.get(c, 0) | (1 << e)
+        self[h] = masks
+        return masks
+
+
+def _bits(mask):
+    """The set bits of mask, from low to high."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _search(add, endos, comp, roots, counter):
     """DFS over endomorphism assignments with closure propagation and
     partial lex-leader pruning.
@@ -137,17 +231,23 @@ def _search(add, endos, comp, roots, counter):
     and a pair decided larger is not passed down. With empty stabilisers
     nothing is cut and the search is the full one.
 
-    `counter[0]` accumulates the number of attempted choices; forced
-    assignments made by propagation are not counted. Yields each complete
-    assignment as a tuple t of endomorphism indices (row x of the table is
-    endos[t[x]]) in deterministic DFS order, which is lex order: siblings
-    first differ at the branching position, with e increasing.
+    Below the root, each node tries only the rows that pass `_Screen`, in
+    increasing order; the screen drops only rows on which `close` fails,
+    so the tree is the one an unscreened loop over every row would walk.
+    `counter[0]` accumulates the number of candidate rows per node:
+    len(roots) at the root and len(endos) at every other node, whether
+    screened out or tried; forced assignments made by propagation are
+    not counted. Yields each complete assignment as a tuple t of
+    endomorphism indices (row x of the table is endos[t[x]]) in
+    deterministic DFS order, which is lex order: siblings first differ at
+    the branching position, with e increasing.
     """
     n = len(add)
     assign: list[int | None] = [None] * n
     # Assigned elements in assignment order: the propagation queue and the
     # undo trail at once.
     done: list[int] = []
+    screen = _Screen(endos, comp)
 
     def close(x0: int, e0: int, assign=assign, done=done,
               endos=endos, comp=comp) -> bool:
@@ -189,25 +289,32 @@ def _search(add, endos, comp, roots, counter):
                     return False
         return True
 
-    def extend(pos: int, active):
+    def extend(pos: int, active, allowed: int, since: int):
+        # `allowed` is the parent's (A) mask; done[since:] were assigned
+        # after it was computed.
         while pos < n and assign[pos] is not None:
             pos += 1
         if pos == n:
             yield tuple(assign)
             return
-        choices = roots if pos == 0 else range(len(endos))
+        if pos == 0:
+            counter[0] += len(roots)
+            choices = roots
+        else:
+            counter[0] += len(endos)
+            allowed &= ~screen.broken(assign, done, since)
+            choices = _bits(screen.rows(assign, done, pos, allowed))
         mark = len(done)
         for e in choices:
-            counter[0] += 1
             if close(pos, e):
                 sub = _lex_test(assign, roots[e] if pos == 0 else active)
                 if sub is not None:
-                    yield from extend(pos + 1, sub)
+                    yield from extend(pos + 1, sub, allowed, mark)
             for y in done[mark:]:
                 assign[y] = None
             del done[mark:]
 
-    yield from extend(0, ())
+    yield from extend(0, (), (1 << len(endos)) - 1, 0)
 
 
 def candidate_stream(g: FiniteGroup):

@@ -251,21 +251,22 @@ def ideal_violation(r: Nearring, members) -> dict | None:
         raise InputError("ideal members out of range")
     if 0 not in s:
         return {"condition": "subgroup", "elements": (0,), "detail": "missing 0"}
-    for a in sorted(s):
-        for b in sorted(s):
+    ordered = sorted(s)
+    for a in ordered:
+        for b in ordered:
             if add[a][b] not in s:
                 return {"condition": "subgroup", "elements": (a, b), "value": add[a][b]}
     for h in range(n):
-        for a in sorted(s):
+        for a in ordered:
             v = add[add[h][a]][neg[h]]
             if v not in s:
                 return {"condition": "normality", "elements": (h, a), "value": v}
     for x in range(n):
-        for a in sorted(s):
+        for a in ordered:
             if mul[x][a] not in s:
                 return {"condition": "left-product", "elements": (x, a), "value": mul[x][a]}
     for x in range(n):
-        for a in sorted(s):
+        for a in ordered:
             for y in range(n):
                 v = add[mul[add[x][a]][y]][neg[mul[x][y]]]
                 if v not in s:

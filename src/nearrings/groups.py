@@ -294,18 +294,8 @@ def assert_valid(g: FiniteGroup) -> None:
 
 # -- spec operations ---------------------------------------------------------
 
-def element_order(g: FiniteGroup, x: int) -> int:
-    if not (0 <= x < g.order):
-        raise InputError(f"element {x} out of range for order-{g.order} group")
-    return g.orders[x]
-
-
 def exponent(g: FiniteGroup) -> int:
     return lcm(*g.orders)
-
-
-def is_abelian(g: FiniteGroup) -> bool:
-    return g.abelian
 
 
 def times(g: FiniteGroup, x: int, n: int) -> int:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -288,11 +289,13 @@ def test_index_space_flags_match_classify_table(spec, census_of):
 
 def test_d12_golden_counts():
     # Recorded with the image-space classify_table before the census
-    # classified in index space; D12 is the largest census in the suite
-    # (about 3 s).
+    # classified in index space, and nodes_visited after the partial
+    # lex-leader pruning; D12 is the largest search tree in the suite
+    # (about 1.5 s).
     c = census(SearchSpec(build_group("D12")))
     assert c.counts == {"total": 48137, "with_identity": 1, "zero_symmetric": 46347,
                         "semidistributive": 69, "distributive": 17}
+    assert c.nodes_visited == 1561299
 
 
 # -- index-space search and reduction ---------------------------------------------
@@ -324,6 +327,71 @@ def test_search_tree_is_pinned(spec, census_of):
     if spec in NODES_VISITED_NO_ISO:
         unreduced = census_of(spec, iso_reduction=False)
         assert unreduced.nodes_visited == NODES_VISITED_NO_ISO[spec]
+
+
+def _closure_accepts(rows, pos, e, endos, compose):
+    """Whether the partial table `rows` (element -> endomorphism index)
+    with row e at pos propagates phi_(phi_y(z)) = phi_y o phi_z without a
+    conflict: a complete closure, failing at the first conflict, over the
+    composition table `compose` of image vectors."""
+    # Most rows conflict with an assigned entry on a pair with pos, so those
+    # pairs are checked first, before the table is copied.
+    img, row = endos[e], compose[e]
+    for z, h in rows.items():
+        have = rows.get(img[z])
+        if have is not None and have != row[h]:
+            return False
+        have = rows.get(endos[h][pos])
+        if have is not None and have != compose[h][e]:
+            return False
+    rows = dict(rows)
+    rows[pos] = e
+    queue = [pos]
+    for y in queue:
+        f = rows[y]
+        for z, h in list(rows.items()):
+            for w, v in ((endos[f][z], compose[f][h]), (endos[h][y], compose[h][f])):
+                have = rows.get(w)
+                if have is None:
+                    rows[w] = v
+                    queue.append(w)
+                elif have != v:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "Z2xZ4", "Z2xZ6", "Z12"])
+def test_screen_admits_every_row_close_accepts(spec, monkeypatch):
+    # At every node of the reduced and unreduced searches, each row the
+    # bitmask screen drops must be one the closure rejects, by a closure
+    # check of its own that shares no code with the screen. Leaves and
+    # nodes_visited alone would miss a dropped row whose subtree the lex
+    # test cuts at once.
+    module = importlib.import_module("nearrings.census")
+    g = build_group(spec)
+    endos, _ = _endo_data(g)
+    index = {im: i for i, im in enumerate(endos)}
+    compose = [[index[tuple(f[v] for v in h)] for h in endos] for f in endos]
+    nodes = [0]
+    rows = module._Screen.rows
+
+    def checked_rows(self, assign, done, pos, allowed):
+        mask = rows(self, assign, done, pos, allowed)
+        nodes[0] += 1
+        partial = {x: e for x, e in enumerate(assign) if e is not None}
+        for e in range(len(endos)):
+            if not mask >> e & 1:
+                assert not _closure_accepts(partial, pos, e, endos, compose), (assign, pos, e)
+        return mask
+
+    monkeypatch.setattr(module._Screen, "rows", checked_rows)
+    for iso in (True, False):
+        nodes[0] = 0
+        c = census(SearchSpec(g, iso_reduction=iso))
+        assert nodes[0] > 0
+        pinned = NODES_VISITED if iso else NODES_VISITED_NO_ISO
+        if spec in pinned:
+            assert c.nodes_visited == pinned[spec]
 
 
 def test_census_refuses_oversized_endomorphism_monoid():
