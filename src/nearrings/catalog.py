@@ -64,10 +64,9 @@ def parse_nearring_json(obj, permissive: bool = False) -> Nearring:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError('"name" must be a string')
-    candidate = CandidateMultiplication(group, table)  # shape/range check
     if permissive:
         return build_unchecked(group, table, name=name)
-    return validate(candidate, name=name)
+    return validate(CandidateMultiplication(group, table), name=name)
 
 
 def parse_nearring_file(path, permissive: bool = False) -> Nearring:

@@ -20,13 +20,16 @@ vector, so index tuples sort exactly like the tables they encode. The
 census is orderly (isomorph-free generation in the sense of Read and
 Faradzev): every automorphism theta fixes element 0, so relabeling
 conjugates row 0, and the lex-least table of a class has a row 0 that is
-least in its conjugacy class. Element 0 takes only those rows. Below a
-root, every partial table is put to the lex-leader test against the
-automorphisms fixing its row 0, through one conjugation table per
-automorphism: where one already relabels the assigned entries to
-something smaller, the subtree is cut, since every completion keeps those
-entries; an automorphism that relabels them to something larger is
-dropped for the subtree. The same test keeps a leaf only if it is least.
+least in its conjugacy class. Element 0 takes only those rows. Every
+partial table, the root's included, is put to the lex-leader test
+against the automorphisms other than the identity, through one
+conjugation table per automorphism, comparing entries from x = 0: at the
+root, entry 0 drops the automorphisms that move row 0, which leaves its
+stabiliser. Where one already relabels the assigned entries to something
+smaller, the subtree is cut, since every completion keeps those entries;
+an automorphism that relabels them to something larger is dropped for
+the subtree. The test also runs after the assignment that completes a
+table, so every leaf has passed it complete and is kept as it comes.
 No raw table is stored, so memory grows with the classes found.
 
 Kept classes are classified as index tuples too: a law of the form
@@ -109,6 +112,8 @@ MAX_ENDOMORPHISMS = 1024
 def _endo_data(g: FiniteGroup):
     """Endomorphism image vectors, sorted, and the composition table
     comp[e][f] = index of e o f."""
+    if g.order > MAX_ORDER:
+        raise InputError(f"group order {g.order} exceeds {MAX_ORDER}")
     # Count on the lazy stream first, so an oversized End(G) is refused
     # after MAX_ENDOMORPHISMS + 1 maps instead of all of them.
     extra = itertools.islice(iter_endomorphisms(g), MAX_ENDOMORPHISMS, None)
@@ -219,34 +224,38 @@ def _bits(mask):
         mask ^= low
 
 
-def _search(add, endos, comp, roots, counter):
+def _search(endos, comp, roots, conjs):
     """DFS over endomorphism assignments with closure propagation and
-    partial lex-leader pruning.
+    partial lex-leader pruning; returns (leaves, attempts).
 
-    `roots` maps each row element 0 may take to its stabiliser, the
-    (theta, conj) pairs that fix that row (see `_roots`). After every
-    successful assignment, the root's included, `_lex_test` checks the
-    partial table against the pairs still open on this branch: a subtree
-    is cut where one relabels the assigned entries to something smaller,
-    and a pair decided larger is not passed down. With empty stabilisers
-    nothing is cut and the search is the full one.
+    Element 0 takes the rows in `roots`. After every successful
+    assignment, the root's and the one that completes the table included,
+    `_lex_test` checks the partial table against the (theta, conj) pairs
+    still open on this branch, starting from `conjs` at the root: a
+    subtree is cut where one relabels the assigned entries to something
+    smaller, and a pair decided larger is not passed down. So every leaf
+    has passed the test complete and is least under the automorphisms
+    fixing its row 0. With no pairs nothing is cut and the search is the
+    full one.
 
     Below the root, each node tries only the rows that pass `_Screen`, in
     increasing order; the screen drops only rows on which `close` fails,
     so the tree is the one an unscreened loop over every row would walk.
-    `counter[0]` accumulates the number of candidate rows per node:
+    `attempts` is the number of candidate rows summed over the nodes:
     len(roots) at the root and len(endos) at every other node, whether
     screened out or tried; forced assignments made by propagation are
-    not counted. Yields each complete assignment as a tuple t of
-    endomorphism indices (row x of the table is endos[t[x]]) in
-    deterministic DFS order, which is lex order: siblings first differ at
-    the branching position, with e increasing.
+    not counted. `leaves` lists each complete assignment as a tuple t of
+    endomorphism indices (row x of the table is endos[t[x]]) in DFS
+    order, which is lex order: siblings first differ at the branching
+    position, with e increasing.
     """
-    n = len(add)
+    n = len(endos[0])
     assign: list[int | None] = [None] * n
     # Assigned elements in assignment order: the propagation queue and the
     # undo trail at once.
     done: list[int] = []
+    leaves: list[tuple[int, ...]] = []
+    attempts = 0
     screen = _Screen(endos, comp)
 
     def close(x0: int, e0: int, assign=assign, done=done,
@@ -292,39 +301,40 @@ def _search(add, endos, comp, roots, counter):
     def extend(pos: int, active, allowed: int, since: int):
         # `allowed` is the parent's (A) mask; done[since:] were assigned
         # after it was computed.
+        nonlocal attempts
         while pos < n and assign[pos] is not None:
             pos += 1
         if pos == n:
-            yield tuple(assign)
+            leaves.append(tuple(assign))
             return
         if pos == 0:
-            counter[0] += len(roots)
+            attempts += len(roots)
             choices = roots
         else:
-            counter[0] += len(endos)
+            attempts += len(endos)
             allowed &= ~screen.broken(assign, done, since)
             choices = _bits(screen.rows(assign, done, pos, allowed))
         mark = len(done)
         for e in choices:
             if close(pos, e):
-                sub = _lex_test(assign, roots[e] if pos == 0 else active)
+                sub = _lex_test(assign, active)
                 if sub is not None:
-                    yield from extend(pos + 1, sub, allowed, mark)
+                    extend(pos + 1, sub, allowed, mark)
             for y in done[mark:]:
                 assign[y] = None
             del done[mark:]
 
-    yield from extend(0, (), (1 << len(endos)) - 1, 0)
+    extend(0, conjs, (1 << len(endos)) - 1, 0)
+    return leaves, attempts
 
 
 def candidate_stream(g: FiniteGroup):
     """All multiplications on g satisfying associativity and left
-    distributivity, as a deterministic stream of candidates."""
-    if g.order > MAX_ORDER:
-        raise InputError(f"group order {g.order} exceeds {MAX_ORDER}")
-    endos, comp = _endo_data(g)
-    counter = [0]
-    for t in _search(g.add, endos, comp, _roots(g, False), counter):
+    distributivity, as a deterministic stream of candidates. The search
+    runs in full on the first item; only the decoding is lazy."""
+    tables, _, _ = _enumerate_classes(g, False, 1)
+    endos, _ = _endo_data(g)
+    for t in tables:
         yield CandidateMultiplication(g, _decode(endos, t))
 
 
@@ -373,41 +383,42 @@ def _conjugation_tables(g: FiniteGroup):
 
 
 def _roots(g: FiniteGroup, iso_reduction: bool):
-    """Element 0's admissible rows, each with its stabiliser: the
-    (theta, conj) pairs of the automorphisms other than the identity that
-    fix that row.
+    """Element 0's admissible rows, as a list, and the (theta, conj) pairs
+    of the automorphisms other than the identity, as a tuple.
 
     With reduction a row is admissible when it is least in its conjugacy
     class, since relabeling conjugates row 0; without it every row is,
-    with an empty stabiliser, so every leaf is kept.
+    and there are no pairs, so every leaf is kept.
     """
     endos, _ = _endo_data(g)
     if not iso_reduction:
-        return {e: () for e in range(len(endos))}
+        return list(range(len(endos))), ()
     identity = tuple(range(g.order))
-    conjs = [c for c in _conjugation_tables(g) if c[0] != identity]
-    return {e: tuple(c for c in conjs if c[1][e] == e)
-            for e in range(len(endos))
-            if all(conj[e] >= e for _, conj in conjs)}
+    conjs = tuple(c for c in _conjugation_tables(g) if c[0] != identity)
+    return [e for e in range(len(endos))
+            if all(conj[e] >= e for _, conj in conjs)], conjs
 
 
 def _lex_test(t, active):
     """The lex-leader test of a partial index tuple t (None marks an
-    unassigned entry) against (theta, conj) pairs that fix t[0].
+    unassigned entry) against (theta, conj) pairs.
 
     Each relabeling t'[x] = conj[t[theta[x]]] is compared with t entry by
-    entry from x = 1 (entry 0 is fixed), up to the first x where t[x] or
-    t[theta[x]] is unassigned. Returns None if some t' is already smaller
-    at its first difference: every completion keeps the compared entries,
-    so none is least. Otherwise returns the pairs still open, dropping
-    those already larger, or equal on a complete t, since no completion
-    can make them smaller.
+    entry from x = 0, up to the first x where t[x] or t[theta[x]] is
+    unassigned. Returns None if some t' is already smaller at its first
+    difference: every completion keeps the compared entries, so none is
+    least. Otherwise returns the pairs still open, dropping those already
+    larger, or equal on a complete t, since no completion can make them
+    smaller. Every theta fixes element 0, so entry 0 compares conj[t[0]]
+    with t[0]: at the root this drops the pairs outside t[0]'s
+    stabiliser, and never cuts, since a root is least in its conjugacy
+    class; below it the open pairs fix t[0].
     """
     n = len(t)
     still_open = []
     for pair in active:
         theta, conj = pair
-        for x in range(1, n):
+        for x in range(n):
             a = t[x]
             b = t[theta[x]]
             if a is None or b is None:
@@ -421,41 +432,24 @@ def _lex_test(t, active):
     return still_open
 
 
-def _is_least(t, stabiliser) -> bool:
-    """Whether no automorphism in the stabiliser of t[0] relabels the
-    complete index tuple t to a smaller one."""
-    return _lex_test(t, stabiliser) is not None
-
-
 # -- census ---------------------------------------------------------------------
-
-def _worker_task(args):
-    """Search the given roots; return the kept index tuples, in the lex
-    order the search yields them, and the attempt count."""
-    add, endos, comp, roots = args
-    counter = [0]
-    kept = [t for t in _search(add, endos, comp, roots, counter)
-            if _is_least(t, roots[t[0]])]
-    return kept, counter[0]
-
 
 def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int):
     """The kept index tuples, sorted, the attempt count, and the number
     of workers used."""
     endos, comp = _endo_data(g)
-    roots = _roots(g, iso_reduction)
+    roots, conjs = _roots(g, iso_reduction)
     if worker_count <= 1 or len(roots) <= 1:
-        kept, nodes = _worker_task((g.add, endos, comp, roots))
+        kept, nodes = _search(endos, comp, roots, conjs)
         return kept, nodes, 1
-    rows = list(roots)
-    buckets = [rows[w::worker_count] for w in range(worker_count)]
-    buckets = [b for b in buckets if b]
-    tasks = [(g.add, endos, comp, {e: roots[e] for e in b}) for b in buckets]
-    kept: list[tuple[int, ...]] = []
+    buckets = [roots[w::worker_count] for w in range(min(worker_count, len(roots)))]
+    kept = []
     nodes = 0
     try:
         with ProcessPoolExecutor(max_workers=len(buckets)) as pool:
-            for sub, count in pool.map(_worker_task, tasks):
+            for sub, count in pool.map(_search, itertools.repeat(endos),
+                                       itertools.repeat(comp), buckets,
+                                       itertools.repeat(conjs)):
                 kept.extend(sub)
                 nodes += count
     except BrokenProcessPool as exc:
@@ -550,8 +544,6 @@ def census(spec: SearchSpec) -> CensusResult:
     only the kept ones are decoded to tables.
     """
     g = spec.group
-    if g.order > MAX_ORDER:
-        raise InputError(f"group order {g.order} exceeds {MAX_ORDER}")
     t0 = time.perf_counter()
     tables, nodes, workers = _enumerate_classes(g, spec.iso_reduction,
                                                 spec.worker_count)

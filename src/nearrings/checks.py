@@ -80,6 +80,18 @@ def _law_witness(r: Nearring, law: str, names: str) -> dict | None:
     return {"law": law, "elements": dict(zip(names, triple)), "lhs": lhs, "rhs": rhs}
 
 
+def _noncommuting_pair(r: Nearring) -> dict | None:
+    """The first x, y in row-major order with x+y != y+x as a witness, or
+    None if the addition is abelian."""
+    add = r.group.add
+    for x in range(r.order):
+        for y in range(r.order):
+            if add[x][y] != add[y][x]:
+                return {"law": "abelian-addition", "elements": {"x": x, "y": y},
+                        "lhs": add[x][y], "rhs": add[y][x]}
+    return None
+
+
 # -- nearring-level checks -----------------------------------------------------
 
 def check_arithmetic(r: Nearring) -> CheckVerdict:
@@ -145,13 +157,9 @@ def check_abelian_addition(r: Nearring) -> CheckVerdict:
     cid = "abelian-addition"
     if not (r.flags.semidistributive and r.flags.has_identity):
         return _vacuous(cid, "requires semidistributive with identity")
-    add = r.group.add
-    for x in range(r.order):
-        for y in range(r.order):
-            if add[x][y] != add[y][x]:
-                return _failed(cid, {"law": "abelian-addition",
-                                     "elements": {"x": x, "y": y},
-                                     "lhs": add[x][y], "rhs": add[y][x]})
+    bad = _noncommuting_pair(r)
+    if bad is not None:
+        return _failed(cid, bad)
     return _passed(cid)
 
 
@@ -208,17 +216,12 @@ def check_primary_ideals(r: Nearring) -> CheckVerdict:
     cid = "primary-ideals"
     if not (r.flags.semidistributive and r.flags.has_identity):
         return _vacuous(cid, "requires semidistributive with identity")
-    g = r.group
-    if not g.abelian:
-        add = g.add
-        x, y = next((x, y) for x in range(r.order) for y in range(r.order)
-                    if add[x][y] != add[y][x])
-        return _failed(cid, {"law": "abelian-addition",
-                             "elements": {"x": x, "y": y},
-                             "lhs": add[x][y], "rhs": add[y][x]},
+    bad = _noncommuting_pair(r)
+    if bad is not None:
+        return _failed(cid, bad,
                        "addition is not abelian, so primary components are undefined")
     for p in prime_divisors(r.order):
-        members = p_component(g, p).members
+        members = p_component(r.group, p).members
         bad = ideal_violation(r, members)
         if bad is not None:
             witness = {"law": "primary-component-ideal", "p": p, "component": list(members)}

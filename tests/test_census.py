@@ -29,7 +29,7 @@ from nearrings.core import (
     validate,
 )
 from nearrings.errors import InputError
-from nearrings.groups import build_group, endomorphisms
+from nearrings.groups import MAX_ORDER, FiniteGroup, build_group, endomorphisms
 
 
 def stream_tables(spec):
@@ -404,6 +404,17 @@ def test_census_refuses_oversized_endomorphism_monoid():
     assert endomorphisms.cache_info().currsize == cached
 
 
+def test_census_refuses_groups_above_max_order():
+    # The spec grammar refuses such a group, so it is built by hand.
+    n = MAX_ORDER + 1
+    g = FiniteGroup(n, tuple(tuple((x + y) % n for y in range(n)) for x in range(n)),
+                    tuple(str(x) for x in range(n)), None, (1,))
+    with pytest.raises(InputError, match=r"group order 17 exceeds 16"):
+        census(SearchSpec(g))
+    with pytest.raises(InputError, match=r"group order 17 exceeds 16"):
+        next(candidate_stream(g))
+
+
 @pytest.mark.parametrize("spec", ["S3", "D8", "Z2xZ4"])
 def test_conjugation_tables_match_relabel(spec):
     g = build_group(spec)
@@ -418,11 +429,13 @@ def test_conjugation_tables_match_relabel(spec):
             assert moved == relabel(g, t, theta)
 
 
-@pytest.mark.parametrize("spec", ["Z2xZ2", "S3", "Z8", "Z12"])
+@pytest.mark.parametrize("spec", ["Z2xZ2", "S3", "Z8", "Z12", "D8", "Q8"])
 def test_representatives_are_the_orbit_minima(spec, census_of):
     # The orbit minima of the full unpruned search, by image-space
     # canonicalize, are exactly the classes the pruned search keeps, and
-    # they come out strictly increasing with no sort.
+    # they come out strictly increasing with no sort. D8 and Q8 are
+    # nonabelian and their roots have nontrivial stabilisers, so every
+    # kept leaf there rests on the lex test of its complete table.
     g = build_group(spec)
     reps = list(census_of(spec).representatives)
     raw = census_of(spec, iso_reduction=False).representatives

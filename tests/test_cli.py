@@ -173,14 +173,14 @@ def test_cmd_census_refuses_oversized_endomorphism_monoid(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def _die(args):
+def _die(*args):
     os._exit(1)
 
 
 def test_cmd_census_dead_worker_exits_2(tmp_path, capsys, monkeypatch):
     # Workers are forked, so they inherit the patched task and die at once.
     # `nearrings.census` as an attribute is the function, not the module.
-    monkeypatch.setattr(importlib.import_module("nearrings.census"), "_worker_task", _die)
+    monkeypatch.setattr(importlib.import_module("nearrings.census"), "_search", _die)
     out_path = tmp_path / "s3.jsonl"
     code, _, err = run_cli(capsys, "census", "S3", "--workers", "2", "--out", str(out_path))
     assert code == 2
