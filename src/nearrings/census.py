@@ -515,6 +515,8 @@ class _IndexClassifier:
     def identity(self, t) -> int | None:
         """The u whose row is the identity map and with x*u = x for all x."""
         one, endos = self.one, self.endos
+        if one not in t:
+            return None
         for u, e in enumerate(t):
             if e == one and all(endos[f][u] == x for x, f in enumerate(t)):
                 return u

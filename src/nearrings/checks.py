@@ -12,6 +12,7 @@ are re-tested where a check depends on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .core import (
@@ -59,6 +60,9 @@ class SuiteReport:
         }
 
 
+# Vacuous and passing verdicts carry no witness, so each distinct one is
+# built once and shared: a census suite returns tens of thousands of them.
+@lru_cache(maxsize=None)
 def _vacuous(check_id: str, notes: str = "") -> CheckVerdict:
     return CheckVerdict(check_id, applicable=False, holds=True, witness=None, notes=notes)
 
@@ -67,6 +71,7 @@ def _failed(check_id: str, witness: dict, notes: str = "") -> CheckVerdict:
     return CheckVerdict(check_id, applicable=True, holds=False, witness=witness, notes=notes)
 
 
+@lru_cache(maxsize=None)
 def _passed(check_id: str, notes: str = "") -> CheckVerdict:
     return CheckVerdict(check_id, applicable=True, holds=True, witness=None, notes=notes)
 
@@ -288,9 +293,7 @@ def check_faithful_module_ring(m: RModule) -> CheckVerdict:
         return _vacuous(cid, "module is not faithful")
     if not m.carrier.abelian:
         return _vacuous(cid, "carrier is not abelian")
-    gn = m.carrier.order
-    for x in range(m.ring.order):
-        column = tuple(m.action[g][x] for g in range(gn))
+    for x, column in enumerate(zip(*m.action)):
         if not is_homomorphism(m.carrier, m.carrier, column):
             return _vacuous(cid, f"element {x} does not act as an endomorphism")
     bad = (_law_witness(m.ring, "left-distributivity", "xyz")

@@ -265,12 +265,25 @@ def ideal_violation(r: Nearring, members) -> dict | None:
         for a in ordered:
             if mul[x][a] not in s:
                 return {"condition": "left-product", "elements": (x, a), "value": mul[x][a]}
+    # s is now a subgroup, so (x+a)*y - x*y lies in s iff (x+a)*y and x*y
+    # share a coset s+v. Label each element by the least member of its
+    # coset and compare whole label rows; only the first (x, a) whose rows
+    # differ is rescanned in y order for the witness.
+    label = [-1] * n
+    for v in range(n):
+        if label[v] < 0:
+            for a in ordered:
+                label[add[a][v]] = v
+    rows = [tuple(map(label.__getitem__, row)) for row in mul]
     for x in range(n):
+        row, ax = rows[x], add[x]
         for a in ordered:
-            for y in range(n):
-                v = add[mul[add[x][a]][y]][neg[mul[x][y]]]
-                if v not in s:
-                    return {"condition": "translate-difference", "elements": (x, a, y), "value": v}
+            if rows[ax[a]] != row:
+                for y in range(n):
+                    v = add[mul[ax[a]][y]][neg[mul[x][y]]]
+                    if v not in s:
+                        return {"condition": "translate-difference",
+                                "elements": (x, a, y), "value": v}
     return None
 
 
@@ -309,9 +322,8 @@ def regular_module(r: Nearring) -> RModule:
 
 def annihilator(m: RModule) -> tuple[int, ...]:
     """All ring elements acting as zero on the whole carrier."""
-    gn = m.carrier.order
-    return tuple(x for x in range(m.ring.order)
-                 if all(m.action[g][x] == 0 for g in range(gn)))
+    zero = (0,) * m.carrier.order
+    return tuple(x for x, column in enumerate(zip(*m.action)) if column == zero)
 
 
 def is_faithful(m: RModule) -> bool:

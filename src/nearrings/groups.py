@@ -70,14 +70,15 @@ class Subgroup:
 
 
 def is_homomorphism(source: FiniteGroup, target: FiniteGroup, images: tuple[int, ...]) -> bool:
+    """Whether images[x+y] = images[x] + images[y] for all x, y, compared
+    one source row at a time."""
     if images[0] != 0:
         return False
-    n = source.order
-    return all(
-        images[source.add[x][y]] == target.add[images[x]][images[y]]
-        for x in range(n)
-        for y in range(n)
-    )
+    image, tadd = images.__getitem__, target.add
+    for x, row in enumerate(source.add):
+        if list(map(image, row)) != list(map(tadd[images[x]].__getitem__, images)):
+            return False
+    return True
 
 
 # -- construction ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -233,6 +234,23 @@ def test_cmd_lemmas_census_mode(capsys):
     assert payload["summary"]["instances"] == 5
     assert payload["summary"]["overall"] == "pass"
     assert payload["summary"]["applicable"]["arithmetic"] == 2
+
+
+# SHA-256 of the whole `lemmas --census G --format json` stdout: every
+# verdict, witness and note of every class, not only the summary.
+LEMMAS_CENSUS_SHA256 = {
+    "S3": "84408593bd79dcf67f39115b396140d24d89bd2e0d694da455d29adf9b45f7c3",
+    "D8": "3abd9034de97672c5b7f8e1f6bc62d753b338514296453972d532eba9822bb01",
+    "Q8": "ed8e81843ac9252416b05ac60d5970b4fcff951eb3f188966ef7924b65545424",
+    "Z6": "fe41a7510026e4c2d985b1bdb5ee063b0c932587e9c9369454ba444d65563c38",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(LEMMAS_CENSUS_SHA256))
+def test_cmd_lemmas_census_json_is_pinned(capsys, spec):
+    code, out, _ = run_cli(capsys, "lemmas", "--census", spec, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LEMMAS_CENSUS_SHA256[spec]
 
 
 def test_cmd_lemmas_usage_error(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from nearrings.core import (
     CandidateMultiplication,
+    RModule,
     annihilator,
     build_unchecked,
     builtin,
@@ -57,6 +58,51 @@ def brute_force_is_ideal(r, members):
                 if add[mul[add[x][a]][y]][neg[mul[x][y]]] not in s:
                     return False
     return True
+
+
+def reference_ideal_violation(r, members):
+    """The plain triple-loop ideal scan, sharing no code with
+    ideal_violation: the first failing condition in the same scan order
+    (subgroup, normality, left-product, translate-difference), with the
+    same witness."""
+    n, add, neg, mul = r.order, r.group.add, r.group.neg, r.mul
+    s = set(members)
+    if 0 not in s:
+        return {"condition": "subgroup", "elements": (0,), "detail": "missing 0"}
+    ordered = sorted(s)
+    for a in ordered:
+        for b in ordered:
+            if add[a][b] not in s:
+                return {"condition": "subgroup", "elements": (a, b), "value": add[a][b]}
+    for h in range(n):
+        for a in ordered:
+            v = add[add[h][a]][neg[h]]
+            if v not in s:
+                return {"condition": "normality", "elements": (h, a), "value": v}
+    for x in range(n):
+        for a in ordered:
+            if mul[x][a] not in s:
+                return {"condition": "left-product", "elements": (x, a), "value": mul[x][a]}
+    for x in range(n):
+        for a in ordered:
+            for y in range(n):
+                v = add[mul[add[x][a]][y]][neg[mul[x][y]]]
+                if v not in s:
+                    return {"condition": "translate-difference", "elements": (x, a, y),
+                            "value": v}
+    return None
+
+
+def witness_conditions(r):
+    """Compare ideal_violation with the reference on every subset of r;
+    return the set of conditions met (None for an ideal)."""
+    seen = set()
+    for size in range(r.order + 1):
+        for members in itertools.combinations(range(r.order), size):
+            got = ideal_violation(r, members)
+            assert got == reference_ideal_violation(r, members), members
+            seen.add(got["condition"] if got else None)
+    return seen
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +253,18 @@ def test_is_ideal_matches_brute_force_over_all_subsets(name):
     for size in range(n + 1):
         for members in itertools.combinations(range(n), size):
             assert is_ideal(r, members) == brute_force_is_ideal(r, members)
+    witness_conditions(r)
+
+
+def test_ideal_violation_witness_matches_reference_on_census_classes(census_of):
+    # The builtins above never fail the translate-difference condition;
+    # the census classes of these groups fail every condition somewhere.
+    seen = set()
+    for spec in ("Z4", "Z2xZ2", "S3"):
+        c = census_of(spec)
+        for rep in c.representatives:
+            seen |= witness_conditions(build_unchecked(c.group, rep))
+    assert seen == {None, "subgroup", "normality", "left-product", "translate-difference"}
 
 
 def test_ideals(ring_z6, s3_paper):
@@ -234,6 +292,21 @@ def test_annihilator(ring_z6, s3_paper):
     assert annihilator(regular_module(z2)) == (0, 1)
     assert not is_faithful(regular_module(z2))
     assert annihilator(regular_module(s3_paper)) == (0, 1, 2)
+
+
+def test_annihilator_reads_columns_of_the_action():
+    # Carrier and ring orders differ, so reading rows (carrier elements)
+    # instead of columns (ring elements) gives a different answer.
+    # Z2 as a module over Z4: g acted on by r is g*r mod 2.
+    z4 = builtin("ring:Z4")
+    m = RModule(build_group("Z2"), z4, ((0, 0, 0, 0), (0, 1, 0, 1)))
+    assert annihilator(m) == (0, 2)
+    assert not is_faithful(m)
+    # Z4 over the zero ring on Z2: 1 doubles, 0 kills.
+    zero = builtin("zero:Z2")
+    m = RModule(build_group("Z4"), zero, ((0, 0), (0, 2), (0, 0), (0, 2)))
+    assert annihilator(m) == (0,)
+    assert is_faithful(m)
 
 
 def test_annihilator_of_regular_module_is_ideal():

@@ -32,6 +32,29 @@ def brute_force_endomorphisms(g):
     return sorted(found)
 
 
+def definitional_is_homomorphism(source, target, images):
+    n = source.order
+    return all(images[source.add[x][y]] == target.add[images[x]][images[y]]
+               for x in range(n) for y in range(n))
+
+
+# Every map between the groups of each pair, maps with images[0] != 0
+# included, against the definition; the pairs of distinct groups keep the
+# source and target tables apart. The counts are |Hom(source, target)|.
+@pytest.mark.parametrize("source,target,count", [
+    ("Z4", "Z4", 4), ("Z2xZ2", "Z2xZ2", 16), ("S3", "S3", 10),
+    ("Z4", "Z2xZ2", 4), ("Z2xZ2", "Z4", 4), ("S3", "Z6", 2),
+])
+def test_is_homomorphism_matches_definition_on_all_maps(source, target, count):
+    g, h = build_group(source), build_group(target)
+    found = 0
+    for images in itertools.product(range(h.order), repeat=g.order):
+        expected = definitional_is_homomorphism(g, h, images)
+        assert is_homomorphism(g, h, images) == expected, images
+        found += expected
+    assert found == count
+
+
 def test_cyclic_tables():
     z4 = build_group("Z4")
     assert z4.add[1][3] == 0
