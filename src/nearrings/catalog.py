@@ -3,6 +3,11 @@
 The JSON shapes here are the machine contract; the CLI's text output is
 explicitly unstable. Catalog files are written atomically and contain no
 timing or worker metadata, so identical runs produce identical bytes.
+
+A census holds only |End| distinct rows and a handful of distinct flag
+sets, so catalog records and census suite reports are joined from JSON
+fragments that are each encoded once, not dumped record by record. The
+joined text is the same canonical JSON a whole-record dump gives.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import tempfile
 
 from . import __version__
 from .census import CensusResult
-from .checks import SuiteReport
+from .checks import CheckVerdict, SuiteReport
 from .core import (
     CandidateMultiplication,
     Nearring,
@@ -86,17 +91,34 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+class _Encoded(dict):
+    """key -> JSON text of to_json(key), encoded on first lookup only."""
+
+    def __init__(self, to_json, encode=_dump):
+        super().__init__()
+        self.to_json = to_json
+        self.encode = encode
+
+    def __missing__(self, key):
+        text = self[key] = self.encode(self.to_json(key))
+        return text
+
+
 def catalog_lines(result: CensusResult) -> list[str]:
     """Line-delimited catalog records plus the trailing summary record.
 
     Deliberately excludes elapsed time and worker count so that catalog
-    bytes are a pure function of the census content.
+    bytes are a pure function of the census content. Each record is
+    joined in sorted-key order from the once-encoded flag set, group
+    spec and rows, so it equals _dump of the record's dict.
     """
     spec = group_spec_json(result.group)
+    group = _dump(spec)
+    rows = _Encoded(list)
+    flags = _Encoded(PropertyFlags.as_dict)
     lines = [
-        _dump({"group": spec, "mul": [list(row) for row in rep],
-               "flags": flags.as_dict()})
-        for rep, flags in zip(result.representatives, result.rep_flags)
+        f'{{"flags":{flags[f]},"group":{group},"mul":[{",".join(map(rows.__getitem__, rep))}]}}'
+        for rep, f in zip(result.representatives, result.rep_flags)
     ]
     lines.append(_dump({"summary": {
         "group": spec,
@@ -157,3 +179,27 @@ def counts_from_records(records) -> dict[str, int]:
 
 def suite_report_json(report: SuiteReport) -> str:
     return _dump(report.as_dict())
+
+
+# `lemmas --census --format json` keeps json.dumps's default separators.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def census_reports_json(reports, summary: dict) -> str:
+    """The `lemmas --census` JSON document: {"reports": [...], "summary": ...}.
+
+    Witness-free verdicts are shared objects (checks._vacuous, _passed),
+    so each distinct one is encoded once; a verdict with a witness is
+    encoded on its own. The text equals json.dumps(..., sort_keys=True)
+    of the whole document.
+    """
+    shared = _Encoded(CheckVerdict.as_dict, _encode)
+    out = []
+    for rep in reports:
+        verdicts = ", ".join(
+            shared[v] if v.witness is None else _encode(v.as_dict())
+            for v in rep.verdicts)
+        overall = '"pass"' if rep.overall else '"fail"'
+        out.append(f'{{"instance": {_encode(rep.instance)}, "overall": {overall}, '
+                   f'"verdicts": [{verdicts}]}}')
+    return f'{{"reports": [{", ".join(out)}], "summary": {_encode(summary)}}}'

@@ -13,6 +13,7 @@ import sys
 
 from . import __version__
 from .catalog import (
+    census_reports_json,
     parse_nearring_file,
     serialize_nearring,
     suite_report_json,
@@ -150,8 +151,7 @@ def cmd_lemmas(args) -> int:
         reports = list(census_suite(SearchSpec(group)))
         summary = summarize_reports(reports)
         if args.format == "json":
-            print(json.dumps({"reports": [rep.as_dict() for rep in reports],
-                              "summary": summary}, sort_keys=True))
+            print(census_reports_json(reports, summary))
         else:
             print(f"checked {summary['instances']} census instances on {group.label()}")
             print("  applicable instances per check:")

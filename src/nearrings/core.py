@@ -265,6 +265,9 @@ def ideal_violation(r: Nearring, members) -> dict | None:
         for a in ordered:
             if mul[x][a] not in s:
                 return {"condition": "left-product", "elements": (x, a), "value": mul[x][a]}
+    # With s = {0} only a = 0 occurs, and (x+0)*y - x*y = 0 for any table.
+    if len(ordered) == 1:
+        return None
     # s is now a subgroup, so (x+a)*y - x*y lies in s iff (x+a)*y and x*y
     # share a coset s+v. Label each element by the least member of its
     # coset and compare whole label rows; only the first (x, a) whose rows

@@ -5,17 +5,24 @@ import os
 
 import pytest
 
+from conftest import SWEEP_SPECS
 from corpus import FILE_ENTRIES
 from nearrings.catalog import (
+    _dump,
     catalog_lines,
+    census_reports_json,
     counts_from_records,
     parse_nearring_file,
+    parse_nearring_json,
     read_catalog,
     serialize_nearring,
 )
+from nearrings.census import SearchSpec, census_suite
+from nearrings.checks import run_suite, summarize_reports
 from nearrings.cli import main
 from nearrings.core import builtin
 from nearrings.errors import AxiomViolation, InputError
+from nearrings.groups import build_group
 
 
 def write_entry(tmp_path, cid):
@@ -206,6 +213,45 @@ def test_catalog_lines_exclude_timing(census_of):
     assert not any("elapsed" in line or "workers" in line for line in lines)
 
 
+# SHA-256 of the whole `census ... --out` catalog file, summary line
+# included, recorded before catalog records were joined from fragments.
+# The raw order-3 table takes the dict branch of group_spec_json.
+RAW_Z3 = '{"order": 3, "add": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}'
+CATALOG_SHA256 = {
+    "S3": (("S3",),
+           "4f5308586fa1f6f849fcfc7974cc67256267296313bc895305dcc9cbdc3df3fa"),
+    "D8": (("D8",),
+           "8b3d018751d692c61ab8c44bb070f8d1436aaa0fe43165999f96bc6ba982729b"),
+    "Q8": (("Q8",),
+           "31ba949b23df0bcf080c6bf542193a71b07c83ed6031268dc101ec63b099e6c6"),
+    "Z2xZ6": (("Z2xZ6",),
+              "f63aa31ddedf36d832492abaa5e344815d563131234ebbe557884410085aba4b"),
+    "raw-Z3": ((RAW_Z3,),
+               "8fb27e69eabe32dfe70a39ad2b7fd655ee1e26c8f3e22c8f0d06465e9db33350"),
+    "Z2xZ4-identity": (("Z2xZ4", "--filter", "identity"),
+                       "169cd9349b3257059d9e3524dfc678fd4a5b32e7fa71caa0734d47d5e498c927"),
+    "D8-no-iso": (("D8", "--no-iso"),
+                  "a8697b96569432f5da1c4bf68022119896f55a077ae5ccfea2ad7a0473a6cc70"),
+}
+
+
+@pytest.mark.parametrize("name", list(CATALOG_SHA256))
+def test_cmd_census_catalog_is_pinned(tmp_path, capsys, name):
+    args, sha = CATALOG_SHA256[name]
+    out_path = tmp_path / "catalog.jsonl"
+    code, _, _ = run_cli(capsys, "census", *args, "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_catalog_lines_are_canonical_json(census_of, spec):
+    # Records joined from fragments must read back to the same text that
+    # one canonical dump of the parsed record gives.
+    for line in catalog_lines(census_of(spec)):
+        assert line == _dump(json.loads(line))
+
+
 # -- lemmas ------------------------------------------------------------------------
 
 def test_cmd_lemmas_on_valid_file(tmp_path, capsys):
@@ -251,6 +297,21 @@ def test_cmd_lemmas_census_json_is_pinned(capsys, spec):
     code, out, _ = run_cli(capsys, "lemmas", "--census", spec, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LEMMAS_CENSUS_SHA256[spec]
+
+
+def test_census_reports_json_equals_whole_document_dump():
+    # The census pins above hold only passing, shared verdicts; the corpus
+    # files add failing reports whose verdicts carry witnesses.
+    reports = list(census_suite(SearchSpec(build_group("S3"))))
+    reports += [
+        run_suite(parse_nearring_json({"group": spec, "mul": mul}, permissive=True))
+        for spec, mul, _ in FILE_ENTRIES.values()
+    ]
+    summary = summarize_reports(reports)
+    assert summary["overall"] == "fail"
+    assert census_reports_json(reports, summary) == json.dumps(
+        {"reports": [rep.as_dict() for rep in reports], "summary": summary},
+        sort_keys=True)
 
 
 def test_cmd_lemmas_usage_error(capsys):

@@ -267,6 +267,19 @@ def test_ideal_violation_witness_matches_reference_on_census_classes(census_of):
     assert seen == {None, "subgroup", "normality", "left-product", "translate-difference"}
 
 
+def test_zero_set_still_fails_left_product_on_corrupt_table():
+    # {0} skips the translate-difference scan, which cannot fail on it;
+    # the left-product scan before it must still catch x*0 != 0. Row 2
+    # is a constant map, so 2*0 = 1 and the table is not zero-symmetric.
+    g = build_group("Z3")
+    r = build_unchecked(g, ((0, 0, 0), (0, 1, 2), (1, 1, 1)))
+    want = {"condition": "left-product", "elements": (2, 0), "value": 1}
+    assert ideal_violation(r, (0,)) == want
+    assert reference_ideal_violation(r, (0,)) == want
+    # On a zero-symmetric table {0} is always an ideal.
+    assert ideal_violation(builtin("s3-paper"), (0,)) is None
+
+
 def test_ideals(ring_z6, s3_paper):
     assert ideals(ring_z6) == [(0,), (0, 3), (0, 2, 4), (0, 1, 2, 3, 4, 5)]
     assert ideals(builtin("ring:Z5")) == [(0,), (0, 1, 2, 3, 4)]
