@@ -127,7 +127,9 @@ def catalog_lines(result: CensusResult) -> list[str]:
         "filters": list(result.filters),
         "counts": result.counts,
         "nodes_visited": result.nodes_visited,
-        "oracle": result.oracle,
+        # Catalogs are written from the search only; the key stays so
+        # that catalog bytes are unchanged.
+        "oracle": False,
         "version": __version__,
     }}))
     return lines

@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_ideals)
 
-    p = sub.add_parser("oracle", help="diff the exhaustive oracle against the census (order <= 3)")
+    p = sub.add_parser("oracle", help="diff the exhaustive oracle against the census (order <= 7)")
     p.add_argument("groupspec")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_oracle)

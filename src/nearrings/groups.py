@@ -74,6 +74,8 @@ def is_homomorphism(source: FiniteGroup, target: FiniteGroup, images: tuple[int,
     one source row at a time."""
     if images[0] != 0:
         return False
+    if not any(images):
+        return True  # the zero map, a homomorphism into any group
     image, tadd = images.__getitem__, target.add
     for x, row in enumerate(source.add):
         if list(map(image, row)) != list(map(tadd[images[x]].__getitem__, images)):

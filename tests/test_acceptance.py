@@ -45,9 +45,11 @@ def test_criterion_1_s3_census_reproduction():
 
 
 def test_criterion_2_oracle_equivalence():
-    """Census and the raw n^(n^2) oracle agree on Z1, Z2, Z3."""
+    """Census and the row-tuple oracle agree on every group of order <= 6
+    but S3."""
     t0 = time.perf_counter()
-    expected_totals = {"Z1": 1, "Z2": 3, "Z3": 5}
+    expected_totals = {"Z1": 1, "Z2": 3, "Z3": 5, "Z4": 12, "Z2xZ2": 23,
+                       "Z5": 10, "Z6": 60}
     for spec, total in expected_totals.items():
         g = build_group(spec)
         searched = census(SearchSpec(g))
@@ -57,7 +59,8 @@ def test_criterion_2_oracle_equivalence():
         assert oracle.counts["total"] == total, spec
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"oracle comparison took {elapsed:.1f}s"
-    print(f"\nACCEPTANCE 2 (oracle equivalence Z1/Z2/Z3 = 1/3/5): PASS ({elapsed:.2f}s)")
+    print("\nACCEPTANCE 2 (oracle equivalence Z1/Z2/Z3/Z4/Z2xZ2/Z5/Z6 = "
+          f"1/3/5/12/23/10/60): PASS ({elapsed:.2f}s)")
 
 
 def test_criterion_3_worked_example_verification():

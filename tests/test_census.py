@@ -144,7 +144,7 @@ def test_census_s3_reproduces_published_counts(census_of):
     assert c.counts["with_identity"] == 0
 
 
-@pytest.mark.parametrize("spec", ["Z1", "Z2", "Z3"])
+@pytest.mark.parametrize("spec", ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6"])
 def test_oracle_equivalence(spec, census_of):
     ours = census_of(spec)
     oracle = brute_force_oracle(build_group(spec))
@@ -152,9 +152,28 @@ def test_oracle_equivalence(spec, census_of):
     assert ours.representatives == oracle.representatives
 
 
+def test_oracle_shares_no_search_code(census_of, monkeypatch):
+    ours = census_of("Z2xZ2")
+
+    def _forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called search code")
+
+    census_module = importlib.import_module("nearrings.census")
+    groups_module = importlib.import_module("nearrings.groups")
+    for module, name in [(census_module, "_search"), (census_module, "_endo_data"),
+                         (census_module, "endomorphisms"),
+                         (census_module, "iter_endomorphisms"),
+                         (groups_module, "endomorphisms"),
+                         (groups_module, "iter_endomorphisms")]:
+        monkeypatch.setattr(module, name, _forbidden)
+    oracle = brute_force_oracle(build_group("Z2xZ2"))
+    assert oracle.counts == ours.counts
+    assert oracle.representatives == ours.representatives
+
+
 def test_oracle_rejects_large_groups():
     with pytest.raises(InputError):
-        brute_force_oracle(build_group("Z4"))
+        brute_force_oracle(build_group("Z8"))
 
 
 def test_census_counts_monotone(census_of):

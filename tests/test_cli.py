@@ -354,5 +354,5 @@ def test_cmd_oracle(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["counts_match"] and payload["representatives_match"]
-    code, _, err = run_cli(capsys, "oracle", "Z4")
-    assert code == 2  # oracle is capped at order 3
+    code, _, err = run_cli(capsys, "oracle", "Z8")
+    assert code == 2  # oracle is capped at order 7
