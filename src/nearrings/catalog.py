@@ -7,7 +7,9 @@ timing or worker metadata, so identical runs produce identical bytes.
 A census holds only |End| distinct rows and a handful of distinct flag
 sets, so catalog records and census suite reports are joined from JSON
 fragments that are each encoded once, not dumped record by record. The
-joined text is the same canonical JSON a whole-record dump gives.
+joined text is the same canonical JSON a whole-record dump gives. Both
+outputs are streamed: each record or report is written as it is joined,
+so neither file is ever held whole in memory.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import tempfile
 
 from . import __version__
 from .census import CensusResult
-from .checks import CheckVerdict, SuiteReport
+from .checks import CheckVerdict, SuiteReport, summarize_reports
 from .core import (
     CandidateMultiplication,
     Nearring,
@@ -104,8 +106,9 @@ class _Encoded(dict):
         return text
 
 
-def catalog_lines(result: CensusResult) -> list[str]:
-    """Line-delimited catalog records plus the trailing summary record.
+def catalog_lines(result: CensusResult):
+    """The catalog's lines, one at a time: each record, then the trailing
+    summary record.
 
     Deliberately excludes elapsed time and worker count so that catalog
     bytes are a pure function of the census content. Each record is
@@ -116,11 +119,9 @@ def catalog_lines(result: CensusResult) -> list[str]:
     group = _dump(spec)
     rows = _Encoded(list)
     flags = _Encoded(PropertyFlags.as_dict)
-    lines = [
-        f'{{"flags":{flags[f]},"group":{group},"mul":[{",".join(map(rows.__getitem__, rep))}]}}'
-        for rep, f in zip(result.representatives, result.rep_flags)
-    ]
-    lines.append(_dump({"summary": {
+    for rep, f in zip(result.representatives, result.rep_flags):
+        yield f'{{"flags":{flags[f]},"group":{group},"mul":[{",".join(map(rows.__getitem__, rep))}]}}'
+    yield _dump({"summary": {
         "group": spec,
         "convention": "left",
         "iso_reduction": result.iso_reduction,
@@ -131,18 +132,20 @@ def catalog_lines(result: CensusResult) -> list[str]:
         # that catalog bytes are unchanged.
         "oracle": False,
         "version": __version__,
-    }}))
-    return lines
+    }})
 
 
 def write_catalog(path, result: CensusResult) -> None:
-    """Write the catalog atomically: the file appears complete or not at all."""
-    data = "\n".join(catalog_lines(result)) + "\n"
+    """Write the catalog atomically: the file appears complete or not at all.
+
+    Lines go into a temporary file as they are joined, which then
+    replaces `path`.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".catalog-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
+            fh.writelines(line + "\n" for line in catalog_lines(result))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -187,21 +190,32 @@ def suite_report_json(report: SuiteReport) -> str:
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
-def census_reports_json(reports, summary: dict) -> str:
-    """The `lemmas --census` JSON document: {"reports": [...], "summary": ...}.
+def write_census_reports(out, reports) -> dict:
+    """Write the `lemmas --census` JSON document {"reports": [...],
+    "summary": ...} and a newline to `out`, each report as it arrives, and
+    return the summary.
 
-    Witness-free verdicts are shared objects (checks._vacuous, _passed),
-    so each distinct one is encoded once; a verdict with a witness is
-    encoded on its own. The text equals json.dumps(..., sort_keys=True)
-    of the whole document.
+    Nothing is written before the first report, so a census that fails
+    before its first class leaves `out` empty. Witness-free verdicts are
+    shared objects (checks._vacuous, _passed), so each distinct one is
+    encoded once; a verdict with a witness is encoded on its own. The
+    text equals json.dumps(..., sort_keys=True) of the whole document.
     """
     shared = _Encoded(CheckVerdict.as_dict, _encode)
-    out = []
-    for rep in reports:
-        verdicts = ", ".join(
-            shared[v] if v.witness is None else _encode(v.as_dict())
-            for v in rep.verdicts)
-        overall = '"pass"' if rep.overall else '"fail"'
-        out.append(f'{{"instance": {_encode(rep.instance)}, "overall": {overall}, '
-                   f'"verdicts": [{verdicts}]}}')
-    return f'{{"reports": [{", ".join(out)}], "summary": {_encode(summary)}}}'
+
+    def written():
+        for i, rep in enumerate(reports):
+            verdicts = ", ".join(
+                shared[v] if v.witness is None else _encode(v.as_dict())
+                for v in rep.verdicts)
+            overall = '"pass"' if rep.overall else '"fail"'
+            head = ", " if i else '{"reports": ['
+            out.write(f'{head}{{"instance": {_encode(rep.instance)}, "overall": {overall}, '
+                      f'"verdicts": [{verdicts}]}}')
+            yield rep
+
+    summary = summarize_reports(written())
+    if not summary["instances"]:
+        out.write('{"reports": [')
+    out.write(f'], "summary": {_encode(summary)}}}\n')
+    return summary

@@ -111,26 +111,25 @@ MAX_ENDOMORPHISMS = 1024
 
 @lru_cache(maxsize=None)
 def _endo_data(g: FiniteGroup):
-    """Endomorphism image vectors, sorted, and the composition table
-    comp[e][f] = index of e o f."""
+    """Endomorphism image vectors, sorted, their index {image: i} and the
+    composition table comp[e][f] = index of e o f."""
     if g.order > MAX_ORDER:
         raise InputError(f"group order {g.order} exceeds {MAX_ORDER}")
-    # Count on the lazy stream first, so an oversized End(G) is refused
+    # One pass over the lazy stream, so an oversized End(G) is refused
     # after MAX_ENDOMORPHISMS + 1 maps instead of all of them.
-    extra = itertools.islice(iter_endomorphisms(g), MAX_ENDOMORPHISMS, None)
-    if next(extra, None) is not None:
+    endos = tuple(sorted(itertools.islice(iter_endomorphisms(g), MAX_ENDOMORPHISMS + 1)))
+    if len(endos) > MAX_ENDOMORPHISMS:
         raise InputError(
             f"|End({g.label()})| exceeds {MAX_ENDOMORPHISMS}: its composition "
             f"table would hold more than {MAX_ENDOMORPHISMS ** 2} entries; the "
             f"census supports |End| <= {MAX_ENDOMORPHISMS}")
-    endos = endomorphisms(g)
     index = {im: i for i, im in enumerate(endos)}
     n = g.order
     comp = tuple(
         tuple(index[tuple(e[f[y]] for y in range(n))] for f in endos)
         for e in endos
     )
-    return endos, comp
+    return endos, index, comp
 
 
 def _decode(endos, t) -> Table:
@@ -334,7 +333,7 @@ def candidate_stream(g: FiniteGroup):
     distributivity, as a deterministic stream of candidates. The search
     runs in full on the first item; only the decoding is lazy."""
     tables, _, _ = _enumerate_classes(g, False, 1)
-    endos, _ = _endo_data(g)
+    endos = _endo_data(g)[0]
     for t in tables:
         yield CandidateMultiplication(g, _decode(endos, t))
 
@@ -363,17 +362,17 @@ def canonicalize(g: FiniteGroup, mul: Table) -> Table:
 
 
 def _conjugation_tables(g: FiniteGroup):
-    """Per theta in Aut(g): theta and the table conj with
+    """Per theta in Aut(g), in sorted order: theta and the table conj with
     endos[conj[e]] = theta^-1 o endos[e] o theta.
 
     Row x of relabel(g, t, theta) is theta^-1 o t[theta(x)] o theta, so on
-    index tuples relabeling is t'[x] = conj[t[theta[x]]]: n lookups.
+    index tuples relabeling is t'[x] = conj[t[theta[x]]]: n lookups. Aut(g)
+    is taken as the bijective members of the sorted End(g).
     """
-    endos, _ = _endo_data(g)
-    index = {im: i for i, im in enumerate(endos)}
+    endos, index, _ = _endo_data(g)
     n = g.order
     out = []
-    for theta in endomorphisms(g, invertible_only=True):
+    for theta in (e for e in endos if len(set(e)) == n):
         inv = [0] * n
         for i, v in enumerate(theta):
             inv[v] = i
@@ -391,7 +390,7 @@ def _roots(g: FiniteGroup, iso_reduction: bool):
     class, since relabeling conjugates row 0; without it every row is,
     and there are no pairs, so every leaf is kept.
     """
-    endos, _ = _endo_data(g)
+    endos = _endo_data(g)[0]
     if not iso_reduction:
         return list(range(len(endos))), ()
     identity = tuple(range(g.order))
@@ -438,7 +437,7 @@ def _lex_test(t, active):
 def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int):
     """The kept index tuples, sorted, the attempt count, and the number
     of workers used."""
-    endos, comp = _endo_data(g)
+    endos, _, comp = _endo_data(g)
     roots, conjs = _roots(g, iso_reduction)
     if worker_count <= 1 or len(roots) <= 1:
         kept, nodes = _search(endos, comp, roots, conjs)
@@ -503,9 +502,8 @@ class _IndexClassifier:
     census meets, never to |End|^2 up front.
     """
 
-    def __init__(self, g: FiniteGroup, endos):
+    def __init__(self, g: FiniteGroup, endos, index):
         n, add = g.order, g.add
-        index = {im: i for i, im in enumerate(endos)}
         self.endos = endos
         self.abelian = g.abelian
         self.one = index[tuple(range(n))]
@@ -550,10 +548,10 @@ def census(spec: SearchSpec) -> CensusResult:
     t0 = time.perf_counter()
     tables, nodes, workers = _enumerate_classes(g, spec.iso_reduction,
                                                 spec.worker_count)
-    endos, _ = _endo_data(g)
+    endos, index, _ = _endo_data(g)
     # The stream is associative and left distributive by construction (a
     # tested invariant), so only the flags are computed here.
-    classifier = _IndexClassifier(g, endos)
+    classifier = _IndexClassifier(g, endos, index)
     flags = [classifier.flags(t) for t in tables]
     if spec.filters:
         keep = [

@@ -135,13 +135,15 @@ def check_arithmetic(r: Nearring) -> CheckVerdict:
             return _failed(cid, {"law": "odd-order-zero-product",
                                  "elements": {"r": a}, "lhs": mul[0][a], "rhs": 0})
     top = exponent(g) + 1
+    # multiple[x][k] = k*x (k summands), computed once per element
+    multiple = [[times(g, x, k) for k in range(top + 1)] for x in range(n)]
     for a in range(n):
         for s in range(n):
             prod = mul[a][s]
             zs = mul[0][s]
             for k in range(1, top + 1):
-                lhs = mul[times(g, a, k)][s]
-                rhs = times(g, prod, k)
+                lhs = mul[multiple[a][k]][s]
+                rhs = multiple[prod][k]
                 if k % 2 == 0:
                     rhs = add[rhs][zs]
                 if lhs != rhs:

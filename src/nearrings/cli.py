@@ -13,11 +13,11 @@ import sys
 
 from . import __version__
 from .catalog import (
-    census_reports_json,
     parse_nearring_file,
     serialize_nearring,
     suite_report_json,
     write_catalog,
+    write_census_reports,
 )
 from .census import (
     SearchSpec,
@@ -148,11 +148,11 @@ def _print_report(report, fmt: str) -> None:
 def cmd_lemmas(args) -> int:
     if args.census:
         group = _group_from_arg(args.census)
-        reports = list(census_suite(SearchSpec(group)))
-        summary = summarize_reports(reports)
+        reports = census_suite(SearchSpec(group))
         if args.format == "json":
-            print(census_reports_json(reports, summary))
+            summary = write_census_reports(sys.stdout, reports)
         else:
+            summary = summarize_reports(reports)
             print(f"checked {summary['instances']} census instances on {group.label()}")
             print("  applicable instances per check:")
             for cid, count in summary["applicable"].items():

@@ -296,9 +296,8 @@ def test_index_space_flags_match_classify_table(spec, census_of):
     # apart; S3, D8 and Q8 are nonabelian.
     g = build_group(spec)
     c = census_of(spec)
-    endos, _ = _endo_data(g)
-    index = {im: i for i, im in enumerate(endos)}
-    classifier = _IndexClassifier(g, endos)
+    endos, index, _ = _endo_data(g)
+    classifier = _IndexClassifier(g, endos, index)
     for rep, flags in zip(c.representatives, c.rep_flags):
         assert flags == classify_table(g, rep), (spec, rep)
         assert classifier.identity(tuple(index[row] for row in rep)) == find_identity(g, rep)
@@ -388,8 +387,7 @@ def test_screen_admits_every_row_close_accepts(spec, monkeypatch):
     # test cuts at once.
     module = importlib.import_module("nearrings.census")
     g = build_group(spec)
-    endos, _ = _endo_data(g)
-    index = {im: i for i, im in enumerate(endos)}
+    endos, index, _ = _endo_data(g)
     compose = [[index[tuple(f[v] for v in h)] for h in endos] for f in endos]
     nodes = [0]
     rows = module._Screen.rows
@@ -437,9 +435,8 @@ def test_census_refuses_groups_above_max_order():
 @pytest.mark.parametrize("spec", ["S3", "D8", "Z2xZ4"])
 def test_conjugation_tables_match_relabel(spec):
     g = build_group(spec)
-    endos, _ = _endo_data(g)
+    endos, index, _ = _endo_data(g)
     assert all(a < b for a, b in zip(endos, endos[1:]))
-    index = {im: i for i, im in enumerate(endos)}
     tables = [c.mul for c in itertools.islice(candidate_stream(g), 50)]
     for theta, conj in _conjugation_tables(g):
         for t in tables:

@@ -1,7 +1,10 @@
 import hashlib
 import importlib
+import io
+import itertools
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -10,12 +13,13 @@ from corpus import FILE_ENTRIES
 from nearrings.catalog import (
     _dump,
     catalog_lines,
-    census_reports_json,
     counts_from_records,
     parse_nearring_file,
     parse_nearring_json,
     read_catalog,
     serialize_nearring,
+    write_catalog,
+    write_census_reports,
 )
 from nearrings.census import SearchSpec, census_suite
 from nearrings.checks import run_suite, summarize_reports
@@ -208,6 +212,26 @@ def test_catalog_reread_reproduces_counts(tmp_path, capsys, census_of):
     assert summary["version"]
 
 
+def _traced_peak(fn, *args) -> int:
+    """The peak size of the memory blocks Python allocates during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", ["D8", "Z2xZ6"])
+def test_write_catalog_streams_records(tmp_path, census_of, spec):
+    # Records go to the file as they are joined: a list of lines or the
+    # joined file string would each take at least the file's size.
+    result = census_of(spec)
+    path = tmp_path / "catalog.jsonl"
+    peak = _traced_peak(write_catalog, path, result)
+    assert peak < path.stat().st_size / 4
+
+
 def test_catalog_lines_exclude_timing(census_of):
     lines = catalog_lines(census_of("Z2"))
     assert not any("elapsed" in line or "workers" in line for line in lines)
@@ -299,7 +323,7 @@ def test_cmd_lemmas_census_json_is_pinned(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == LEMMAS_CENSUS_SHA256[spec]
 
 
-def test_census_reports_json_equals_whole_document_dump():
+def test_write_census_reports_equals_whole_document_dump():
     # The census pins above hold only passing, shared verdicts; the corpus
     # files add failing reports whose verdicts carry witnesses.
     reports = list(census_suite(SearchSpec(build_group("S3"))))
@@ -307,11 +331,43 @@ def test_census_reports_json_equals_whole_document_dump():
         run_suite(parse_nearring_json({"group": spec, "mul": mul}, permissive=True))
         for spec, mul, _ in FILE_ENTRIES.values()
     ]
-    summary = summarize_reports(reports)
+    out = io.StringIO()
+    summary = write_census_reports(out, iter(reports))
+    assert summary == summarize_reports(reports)
     assert summary["overall"] == "fail"
-    assert census_reports_json(reports, summary) == json.dumps(
+    assert out.getvalue() == json.dumps(
         {"reports": [rep.as_dict() for rep in reports], "summary": summary},
-        sort_keys=True)
+        sort_keys=True) + "\n"
+
+
+def test_write_census_reports_without_reports():
+    out = io.StringIO()
+    summary = write_census_reports(out, iter(()))
+    assert json.loads(out.getvalue()) == {"reports": [], "summary": summary}
+    assert summary["instances"] == 0
+
+
+def test_write_census_reports_streams_reports(tmp_path):
+    # The census itself runs before tracing starts; each report is then
+    # written as the suite yields it, so neither a list of reports nor the
+    # document string is held.
+    reports = census_suite(SearchSpec(build_group("Z12")))
+    first = next(reports)
+    path = tmp_path / "z12.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        peak = _traced_peak(write_census_reports, fh, itertools.chain([first], reports))
+    assert json.loads(path.read_text())["summary"]["instances"] > 1
+    assert peak < path.stat().st_size / 4
+
+
+def test_cmd_lemmas_census_refused_group_prints_nothing(capsys):
+    # The census refuses the group before its first class exists, so the
+    # streamed JSON document has not begun.
+    code, out, err = run_cli(capsys, "lemmas", "--census", "Z2xZ2xZ2xZ2", "--format", "json")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "|End(Z2xZ2xZ2xZ2)| exceeds 1024" in err
+    assert out == ""
 
 
 def test_cmd_lemmas_usage_error(capsys):
