@@ -139,11 +139,16 @@ def write_catalog(path, result: CensusResult) -> None:
     """Write the catalog atomically: the file appears complete or not at all.
 
     Lines go into a temporary file as they are joined, which then
-    replaces `path`.
+    replaces `path`. The file gets the mode open() would give a new file,
+    0o666 less the umask, not mkstemp's 0o600.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".catalog-", suffix=".tmp")
+    # The umask is read by setting it; 0o077 meanwhile opens no other file wider.
+    umask = os.umask(0o077)
+    os.umask(umask)
     try:
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in catalog_lines(result))
         os.replace(tmp, path)

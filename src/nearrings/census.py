@@ -23,14 +23,23 @@ conjugates row 0, and the lex-least table of a class has a row 0 that is
 least in its conjugacy class. Element 0 takes only those rows. Every
 partial table, the root's included, is put to the lex-leader test
 against the automorphisms other than the identity, through one
-conjugation table per automorphism, comparing entries from x = 0: at the
-root, entry 0 drops the automorphisms that move row 0, which leaves its
-stabiliser. Where one already relabels the assigned entries to something
-smaller, the subtree is cut, since every completion keeps those entries;
-an automorphism that relabels them to something larger is dropped for
-the subtree. The test also runs after the assignment that completes a
-table, so every leaf has passed it complete and is kept as it comes.
-No raw table is stored, so memory grows with the classes found.
+conjugation table per automorphism, comparing entries from x = 0 at the
+root and, below it, from the first entry each automorphism has not yet
+found equal: at the root, entry 0 drops the automorphisms that move row
+0, which leaves its stabiliser. Where one already relabels the assigned
+entries to something smaller, the subtree is cut, since every completion
+keeps those entries; an automorphism that relabels them to something
+larger is dropped for the subtree. The test also runs after the
+assignment that completes a table, so every leaf has passed it complete
+and is kept as it comes. No raw table is stored, so memory grows with
+the classes found.
+
+A census with several workers splits the tree two levels deep, at the
+root and at the first position it leaves free, and a pool of worker
+processes searches below each surviving path. The paths are in DFS
+order, so the workers' leaves, concatenated in path order, are in lex
+order with no sort, and the zero-map root, which holds most of the
+search, is shared out like any other.
 
 Kept classes are classified as index tuples too: a law of the form
 (a+b)c = ac+bc says row a+b is the pointwise sum of rows a and b, so
@@ -224,39 +233,47 @@ def _bits(mask):
         mask ^= low
 
 
-def _search(endos, comp, roots, conjs):
+def _search(endos, comp, roots, conjs, screen, path=(), split=False):
     """DFS over endomorphism assignments with closure propagation and
-    partial lex-leader pruning; returns (leaves, attempts).
+    partial lex-leader pruning; returns (found, attempts).
 
     Element 0 takes the rows in `roots`. After every successful
     assignment, the root's and the one that completes the table included,
-    `_lex_test` checks the partial table against the (theta, conj) pairs
-    still open on this branch, starting from `conjs` at the root: a
-    subtree is cut where one relabels the assigned entries to something
-    smaller, and a pair decided larger is not passed down. So every leaf
+    `_lex_test` checks the partial table against the (theta, conj, x)
+    triples still open on this branch, starting from `conjs` at the root:
+    a subtree is cut where one relabels the assigned entries to something
+    smaller, and a triple decided larger is not passed down. So every leaf
     has passed the test complete and is least under the automorphisms
-    fixing its row 0. With no pairs nothing is cut and the search is the
+    fixing its row 0. With no triples nothing is cut and the search is the
     full one.
 
-    Below the root, each node tries only the rows that pass `_Screen`, in
+    Below the root, each node tries only the rows that pass `screen`, in
     increasing order; the screen drops only rows on which `close` fails,
     so the tree is the one an unscreened loop over every row would walk.
     `attempts` is the number of candidate rows summed over the nodes:
     len(roots) at the root and len(endos) at every other node, whether
     screened out or tried; forced assignments made by propagation are
-    not counted. `leaves` lists each complete assignment as a tuple t of
+    not counted. `found` lists each complete assignment as a tuple t of
     endomorphism indices (row x of the table is endos[t[x]]) in DFS
     order, which is lex order: siblings first differ at the branching
     position, with e increasing.
+
+    The tree can be cut two levels deep and searched in parts. With
+    `split`, the search stops there: `found` lists the paths that survive
+    both levels, in DFS order, as (root row, row at the first position the
+    root leaves free), or (root row,) where the root's propagation
+    completes the table, and `attempts` counts those two levels. A `path`
+    is replayed without counting, and the search runs only below it.
+    Searching below each path in turn gives the whole search's leaves in
+    order, and its attempts with the split's.
     """
     n = len(endos[0])
     assign: list[int | None] = [None] * n
     # Assigned elements in assignment order: the propagation queue and the
     # undo trail at once.
     done: list[int] = []
-    leaves: list[tuple[int, ...]] = []
+    found: list[tuple[int, ...]] = []
     attempts = 0
-    screen = _Screen(endos, comp)
 
     def close(x0: int, e0: int, assign=assign, done=done,
               endos=endos, comp=comp) -> bool:
@@ -298,14 +315,15 @@ def _search(endos, comp, roots, conjs):
                     return False
         return True
 
-    def extend(pos: int, active, allowed: int, since: int):
+    def extend(pos: int, active, allowed: int, since: int, below):
         # `allowed` is the parent's (A) mask; done[since:] were assigned
-        # after it was computed.
+        # after it was computed. Each surviving child is handed to
+        # `below`, which is extend itself except at the split's two levels.
         nonlocal attempts
         while pos < n and assign[pos] is not None:
             pos += 1
         if pos == n:
-            leaves.append(tuple(assign))
+            found.append(tuple(assign))
             return
         if pos == 0:
             attempts += len(roots)
@@ -319,13 +337,38 @@ def _search(endos, comp, roots, conjs):
             if close(pos, e):
                 sub = _lex_test(assign, active)
                 if sub is not None:
-                    extend(pos + 1, sub, allowed, mark)
+                    below(pos + 1, sub, allowed, mark, below)
             for y in done[mark:]:
                 assign[y] = None
             del done[mark:]
 
-    extend(0, conjs, (1 << len(endos)) - 1, 0)
-    return leaves, attempts
+    full = (1 << len(endos)) - 1
+    if split:
+        def record(pos, *_):
+            found.append((assign[0], assign[pos - 1]))
+
+        def first_branch(pos, active, allowed, since, _):
+            if None in assign:
+                extend(pos, active, allowed, since, record)
+            else:
+                found.append((assign[0],))
+
+        extend(0, conjs, full, 0, first_branch)
+        return found, attempts
+    # Replay the path as extend assigned it; the split has seen each step
+    # succeed.
+    pos, active, allowed, since = 0, conjs, full, 0
+    for e in path:
+        while assign[pos] is not None:
+            pos += 1
+        if pos:
+            allowed &= ~screen.broken(assign, done, since)
+        since = len(done)
+        close(pos, e)
+        active = _lex_test(assign, active)
+        pos += 1
+    extend(pos, active, allowed, since, extend)
+    return found, attempts
 
 
 def candidate_stream(g: FiniteGroup):
@@ -383,46 +426,50 @@ def _conjugation_tables(g: FiniteGroup):
 
 
 def _roots(g: FiniteGroup, iso_reduction: bool):
-    """Element 0's admissible rows, as a list, and the (theta, conj) pairs
-    of the automorphisms other than the identity, as a tuple.
+    """Element 0's admissible rows, as a list, and the (theta, conj, 0)
+    triples of the automorphisms other than the identity, as a tuple.
 
     With reduction a row is admissible when it is least in its conjugacy
     class, since relabeling conjugates row 0; without it every row is,
-    and there are no pairs, so every leaf is kept.
+    and there are no triples, so every leaf is kept.
     """
     endos = _endo_data(g)[0]
     if not iso_reduction:
         return list(range(len(endos))), ()
     identity = tuple(range(g.order))
-    conjs = tuple(c for c in _conjugation_tables(g) if c[0] != identity)
+    conjs = tuple((theta, conj, 0) for theta, conj in _conjugation_tables(g)
+                  if theta != identity)
     return [e for e in range(len(endos))
-            if all(conj[e] >= e for _, conj in conjs)], conjs
+            if all(conj[e] >= e for _, conj, _ in conjs)], conjs
 
 
 def _lex_test(t, active):
     """The lex-leader test of a partial index tuple t (None marks an
-    unassigned entry) against (theta, conj) pairs.
+    unassigned entry) against (theta, conj, x) triples.
 
-    Each relabeling t'[x] = conj[t[theta[x]]] is compared with t entry by
-    entry from x = 0, up to the first x where t[x] or t[theta[x]] is
-    unassigned. Returns None if some t' is already smaller at its first
-    difference: every completion keeps the compared entries, so none is
-    least. Otherwise returns the pairs still open, dropping those already
+    Each relabeling t'[y] = conj[t[theta[y]]] equals t on every y < x, and
+    is compared with t entry by entry from y = x, up to the first y where
+    t[y] or t[theta[y]] is unassigned. Returns None if some t' is already
+    smaller at its first difference: every completion keeps the compared
+    entries, so none is least. Otherwise returns the triples still open,
+    each with x moved to that first unassigned y, dropping those already
     larger, or equal on a complete t, since no completion can make them
-    smaller. Every theta fixes element 0, so entry 0 compares conj[t[0]]
-    with t[0]: at the root this drops the pairs outside t[0]'s
-    stabiliser, and never cuts, since a root is least in its conjugacy
-    class; below it the open pairs fix t[0].
+    smaller. A subtree never unassigns an entry, so the equal prefix only
+    grows and each entry of a branch is compared once per automorphism.
+    Every theta fixes element 0, so entry 0 compares conj[t[0]] with t[0]:
+    at the root this drops the triples outside t[0]'s stabiliser, and
+    never cuts, since a root is least in its conjugacy class; below it the
+    open triples fix t[0].
     """
     n = len(t)
     still_open = []
-    for pair in active:
-        theta, conj = pair
-        for x in range(n):
+    for triple in active:
+        theta, conj, start = triple
+        for x in range(start, n):
             a = t[x]
             b = t[theta[x]]
             if a is None or b is None:
-                still_open.append(pair)
+                still_open.append(triple if x == start else (theta, conj, x))
                 break
             v = conj[b]
             if v != a:
@@ -435,28 +482,52 @@ def _lex_test(t, active):
 # -- census ---------------------------------------------------------------------
 
 def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int):
-    """The kept index tuples, sorted, the attempt count, and the number
-    of workers used."""
+    """The kept index tuples in lex order, the attempt count, and the
+    number of workers used.
+
+    With more than one worker the tree is split two levels deep, so the
+    zero-map root, which holds most of the search, is shared out too. Each
+    worker gets the census data once, and the paths go through the ordered
+    pool.map: their leaves, concatenated as they come, are the DFS order of
+    the whole search, which is lex order.
+    """
     endos, _, comp = _endo_data(g)
     roots, conjs = _roots(g, iso_reduction)
-    if worker_count <= 1 or len(roots) <= 1:
-        kept, nodes = _search(endos, comp, roots, conjs)
+    screen = _Screen(endos, comp)
+    paths, nodes = (), 0
+    if worker_count > 1:
+        paths, nodes = _search(endos, comp, roots, conjs, screen, split=True)
+    workers = min(worker_count, len(paths))
+    if workers <= 1:
+        kept, nodes = _search(endos, comp, roots, conjs, screen)
         return kept, nodes, 1
-    buckets = [roots[w::worker_count] for w in range(min(worker_count, len(roots)))]
     kept = []
-    nodes = 0
     try:
-        with ProcessPoolExecutor(max_workers=len(buckets)) as pool:
-            for sub, count in pool.map(_search, itertools.repeat(endos),
-                                       itertools.repeat(comp), buckets,
-                                       itertools.repeat(conjs)):
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(endos, comp, roots, conjs)) as pool:
+            for sub, count in pool.map(_search_below, paths):
                 kept.extend(sub)
                 nodes += count
     except BrokenProcessPool as exc:
         raise NearringError(
-            f"a census worker process died (pool of {len(buckets)} workers): {exc}") from exc
-    kept.sort()
-    return kept, nodes, len(buckets)
+            f"a census worker process died (pool of {workers} workers): {exc}") from exc
+    return kept, nodes, workers
+
+
+# A pool worker's census data and screen, set once by `_start_worker`.
+_worker_search = None
+
+
+def _start_worker(endos, comp, roots, conjs):
+    """Pool initializer: keep the census data, and one screen that every
+    path this worker searches shares."""
+    global _worker_search
+    _worker_search = (endos, comp, roots, conjs, _Screen(endos, comp))
+
+
+def _search_below(path):
+    """Pool task: the leaves and attempts below one path of the split."""
+    return _search(*_worker_search, path=path)
 
 
 class _RowLaw(dict):

@@ -11,8 +11,12 @@ from nearrings.census import (
     MAX_ENDOMORPHISMS,
     SearchSpec,
     _IndexClassifier,
+    _Screen,
     _conjugation_tables,
     _endo_data,
+    _enumerate_classes,
+    _roots,
+    _search,
     brute_force_oracle,
     candidate_stream,
     canonicalize,
@@ -20,6 +24,7 @@ from nearrings.census import (
     census_suite,
     relabel,
 )
+from nearrings.catalog import catalog_lines
 from nearrings.checks import run_suite, summarize_reports
 from nearrings.core import (
     FLAG_TABLE,
@@ -226,6 +231,55 @@ def test_census_worker_determinism(census_of):
             assert c.representatives == base.representatives
             assert c.counts == base.counts
             assert c.nodes_visited == base.nodes_visited
+
+
+@pytest.mark.parametrize("spec, iso", [
+    ("Z1", True), ("Z2", True), ("S3", True), ("Q8", True), ("D8", True),
+    ("Z2xZ6", True), ("D8", False)])
+def test_catalog_is_identical_for_any_worker_count(spec, iso, census_of):
+    # Z1's root completes its only table; the unreduced D8 census splits
+    # every root and has no automorphism triples.
+    g = build_group(spec)
+    base = list(catalog_lines(census_of(spec, iso_reduction=iso)))
+    for w in (2, 3):
+        assert list(catalog_lines(census(SearchSpec(g, iso_reduction=iso, worker_count=w)))) == base
+
+
+@pytest.mark.parametrize("spec", ["D8", "Z2xZ6"])
+def test_parallel_classes_arrive_in_lex_order(spec):
+    # Worker results are concatenated in path order, with no sort.
+    kept, _, workers = _enumerate_classes(build_group(spec), True, 2)
+    assert workers == 2
+    assert kept == sorted(kept)
+
+
+@pytest.mark.parametrize("spec, iso", [
+    ("Z1", True), ("D8", True), ("Z2xZ6", True), ("Z2xZ4", False), ("S3", True)])
+def test_split_paths_partition_the_search(spec, iso):
+    # The paths, searched below one after another, give the whole
+    # search's leaves in order and its attempts, those of the split's two
+    # levels included. Z1's root completes its table: a path of length 1.
+    g = build_group(spec)
+    endos, _, comp = _endo_data(g)
+    roots, conjs = _roots(g, iso)
+    screen = _Screen(endos, comp)
+    paths, attempts = _search(endos, comp, roots, conjs, screen, split=True)
+    assert paths == sorted(set(paths))
+    leaves = []
+    for path in paths:
+        sub, count = _search(endos, comp, roots, conjs, screen, path=path)
+        leaves += sub
+        attempts += count
+    assert (leaves, attempts) == _search(endos, comp, roots, conjs, screen)
+
+
+@pytest.mark.parametrize("spec", ["D8", "Z2xZ6"])
+def test_split_shares_out_the_zero_map_root(spec):
+    g = build_group(spec)
+    endos, _, comp = _endo_data(g)
+    assert endos[0] == (0,) * g.order
+    paths, _ = _search(endos, comp, *_roots(g, True), _Screen(endos, comp), split=True)
+    assert sum(path[0] == 0 for path in paths) >= 2
 
 
 def test_representatives_are_canonical(census_of):

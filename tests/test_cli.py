@@ -191,14 +191,29 @@ def _die(*args):
 
 def test_cmd_census_dead_worker_exits_2(tmp_path, capsys, monkeypatch):
     # Workers are forked, so they inherit the patched task and die at once.
-    # `nearrings.census` as an attribute is the function, not the module.
-    monkeypatch.setattr(importlib.import_module("nearrings.census"), "_search", _die)
+    # Only pool workers run the task: the parent splits the tree with the
+    # search itself. `nearrings.census` as an attribute is the function,
+    # not the module.
+    monkeypatch.setattr(importlib.import_module("nearrings.census"), "_search_below", _die)
     out_path = tmp_path / "s3.jsonl"
     code, _, err = run_cli(capsys, "census", "S3", "--workers", "2", "--out", str(out_path))
     assert code == 2
     assert err.startswith("error:")
     assert "2 workers" in err
     assert not out_path.exists()
+
+
+def test_catalog_file_mode_follows_umask(tmp_path, capsys):
+    # The catalog's temp file is made by mkstemp with mode 0o600; the
+    # catalog must get the mode of any new file, 0o666 less the umask.
+    out_path = tmp_path / "s3.jsonl"
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run_cli(capsys, "census", "S3", "--out", str(out_path))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert out_path.stat().st_mode & 0o777 == 0o644
 
 
 def test_catalog_reread_reproduces_counts(tmp_path, capsys, census_of):
