@@ -35,8 +35,10 @@ and is kept as it comes. No raw table is stored, so memory grows with
 the classes found.
 
 A census with several workers splits the tree two levels deep, at the
-root and at the first position it leaves free, and a pool of worker
-processes searches below each surviving path. The paths are in DFS
+root and at the first position it leaves free, and a pool of at most
+as many worker processes as CPUs searches below each surviving path.
+The split and the search below a path are two conditions of the one
+DFS step that also runs the whole search. The paths are in DFS
 order, so the workers' leaves, concatenated in path order, are in lex
 order with no sort, and the zero-map root, which holds most of the
 search, is shared out like any other.
@@ -60,6 +62,7 @@ reduces each associative table over the automorphisms by `relabel`.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -258,14 +261,15 @@ def _search(endos, comp, roots, conjs, screen, path=(), split=False):
     order, which is lex order: siblings first differ at the branching
     position, with e increasing.
 
-    The tree can be cut two levels deep and searched in parts. With
-    `split`, the search stops there: `found` lists the paths that survive
-    both levels, in DFS order, as (root row, row at the first position the
-    root leaves free), or (root row,) where the root's propagation
-    completes the table, and `attempts` counts those two levels. A `path`
-    is replayed without counting, and the search runs only below it.
-    Searching below each path in turn gives the whole search's leaves in
-    order, and its attempts with the split's.
+    The same step cuts the tree two levels deep and searches it in parts.
+    With `split`, a branch is not searched below depth 2: `found` lists
+    the rows chosen on each branch that reaches it, in DFS order, as (root
+    row, row at the first position the root leaves free), or (root row,)
+    where the root's propagation completes the table, and `attempts`
+    counts those two levels. With a `path`, the node at each depth the
+    path covers tries only the path's row and counts no attempt, so the
+    search runs only below it. Searching below each path in turn gives the
+    whole search's leaves in order, and its attempts with the split's.
     """
     n = len(endos[0])
     assign: list[int | None] = [None] * n
@@ -273,6 +277,8 @@ def _search(endos, comp, roots, conjs, screen, path=(), split=False):
     # undo trail at once.
     done: list[int] = []
     found: list[tuple[int, ...]] = []
+    # The rows chosen on the current branch, root first.
+    branch: list[int] = []
     attempts = 0
 
     def close(x0: int, e0: int, assign=assign, done=done,
@@ -315,59 +321,40 @@ def _search(endos, comp, roots, conjs, screen, path=(), split=False):
                     return False
         return True
 
-    def extend(pos: int, active, allowed: int, since: int, below):
+    def extend(pos: int, active, allowed: int, since: int):
         # `allowed` is the parent's (A) mask; done[since:] were assigned
-        # after it was computed. Each surviving child is handed to
-        # `below`, which is extend itself except at the split's two levels.
+        # after it was computed. Along `path` the one choice is the path's
+        # row, uncounted; with `split` the search stops at depth 2.
         nonlocal attempts
         while pos < n and assign[pos] is not None:
             pos += 1
-        if pos == n:
-            found.append(tuple(assign))
+        depth = len(branch)
+        if pos == n or split and depth == 2:
+            found.append(tuple(branch) if split else tuple(assign))
             return
-        if pos == 0:
+        if pos:
+            allowed &= ~screen.broken(assign, done, since)
+        if depth < len(path):
+            choices = (path[depth],)
+        elif pos:
+            attempts += len(endos)
+            choices = _bits(screen.rows(assign, done, pos, allowed))
+        else:
             attempts += len(roots)
             choices = roots
-        else:
-            attempts += len(endos)
-            allowed &= ~screen.broken(assign, done, since)
-            choices = _bits(screen.rows(assign, done, pos, allowed))
         mark = len(done)
         for e in choices:
             if close(pos, e):
                 sub = _lex_test(assign, active)
                 if sub is not None:
-                    below(pos + 1, sub, allowed, mark, below)
+                    branch.append(e)
+                    extend(pos + 1, sub, allowed, mark)
+                    branch.pop()
             for y in done[mark:]:
                 assign[y] = None
             del done[mark:]
 
-    full = (1 << len(endos)) - 1
-    if split:
-        def record(pos, *_):
-            found.append((assign[0], assign[pos - 1]))
-
-        def first_branch(pos, active, allowed, since, _):
-            if None in assign:
-                extend(pos, active, allowed, since, record)
-            else:
-                found.append((assign[0],))
-
-        extend(0, conjs, full, 0, first_branch)
-        return found, attempts
-    # Replay the path as extend assigned it; the split has seen each step
-    # succeed.
-    pos, active, allowed, since = 0, conjs, full, 0
-    for e in path:
-        while assign[pos] is not None:
-            pos += 1
-        if pos:
-            allowed &= ~screen.broken(assign, done, since)
-        since = len(done)
-        close(pos, e)
-        active = _lex_test(assign, active)
-        pos += 1
-    extend(pos, active, allowed, since, extend)
+    extend(0, conjs, (1 << len(endos)) - 1, 0)
     return found, attempts
 
 
@@ -483,7 +470,8 @@ def _lex_test(t, active):
 
 def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int):
     """The kept index tuples in lex order, the attempt count, and the
-    number of workers used.
+    number of workers used: at most worker_count, the CPU count and the
+    number of paths.
 
     With more than one worker the tree is split two levels deep, so the
     zero-map root, which holds most of the search, is shared out too. Each
@@ -494,10 +482,11 @@ def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int):
     endos, _, comp = _endo_data(g)
     roots, conjs = _roots(g, iso_reduction)
     screen = _Screen(endos, comp)
+    workers = min(worker_count, os.cpu_count() or 1)
     paths, nodes = (), 0
-    if worker_count > 1:
+    if workers > 1:
         paths, nodes = _search(endos, comp, roots, conjs, screen, split=True)
-    workers = min(worker_count, len(paths))
+    workers = min(workers, len(paths))
     if workers <= 1:
         kept, nodes = _search(endos, comp, roots, conjs, screen)
         return kept, nodes, 1
@@ -623,21 +612,19 @@ def census(spec: SearchSpec) -> CensusResult:
     # The stream is associative and left distributive by construction (a
     # tested invariant), so only the flags are computed here.
     classifier = _IndexClassifier(g, endos, index)
-    flags = [classifier.flags(t) for t in tables]
-    if spec.filters:
-        keep = [
-            i for i, f in enumerate(flags)
-            if all(getattr(f, _FLAG_ATTR[name]) for name in spec.filters)
-        ]
-        tables = [tables[i] for i in keep]
-        flags = [flags[i] for i in keep]
-    counts = count_flags(flags)
+    wanted = [_FLAG_ATTR[name] for name in spec.filters]
+    kept, flags = [], []
+    for t in tables:
+        f = classifier.flags(t)
+        if all(getattr(f, attr) for attr in wanted):
+            kept.append(t)
+            flags.append(f)
     return CensusResult(
         group=g,
         iso_reduction=spec.iso_reduction,
         filters=tuple(spec.filters),
-        counts=counts,
-        representatives=tuple(_decode(endos, t) for t in tables),
+        counts=count_flags(flags),
+        representatives=tuple(_decode(endos, t) for t in kept),
         rep_flags=tuple(flags),
         nodes_visited=nodes,
         elapsed=time.perf_counter() - t0,

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -254,7 +255,8 @@ def test_parallel_classes_arrive_in_lex_order(spec):
 
 
 @pytest.mark.parametrize("spec, iso", [
-    ("Z1", True), ("D8", True), ("Z2xZ6", True), ("Z2xZ4", False), ("S3", True)])
+    ("Z1", True), ("D8", True), ("Z2xZ6", True), ("Z2xZ4", False), ("S3", True),
+    ("Z2xZ2xZ2", True)])
 def test_split_paths_partition_the_search(spec, iso):
     # The paths, searched below one after another, give the whole
     # search's leaves in order and its attempts, those of the split's two
@@ -271,6 +273,15 @@ def test_split_paths_partition_the_search(spec, iso):
         leaves += sub
         attempts += count
     assert (leaves, attempts) == _search(endos, comp, roots, conjs, screen)
+
+
+def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # The census module reads os.cpu_count when it sizes the pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    g = build_group("D8")
+    kept, _, workers = _enumerate_classes(g, True, 8)
+    assert workers == 2
+    assert kept == _enumerate_classes(g, True, 1)[0]
 
 
 @pytest.mark.parametrize("spec", ["D8", "Z2xZ6"])
