@@ -5,13 +5,11 @@ __version__ = "0.1.0"
 from .errors import (
     AxiomViolation,
     InputError,
-    InvariantViolation,
     NearringError,
     PreconditionError,
 )
 from .groups import (
     FiniteGroup,
-    Subgroup,
     build_group,
     endomorphisms,
     exponent,
@@ -25,12 +23,9 @@ from .core import (
     RModule,
     annihilator,
     builtin,
-    classify,
     distributive_elements,
     ideals,
-    is_faithful,
     is_ideal,
-    is_simple,
     regular_module,
     units,
     validate,

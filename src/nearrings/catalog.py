@@ -26,7 +26,6 @@ from .core import (
     Nearring,
     PropertyFlags,
     build_unchecked,
-    count_flags,
     validate,
 )
 from .errors import InputError
@@ -156,35 +155,6 @@ def write_catalog(path, result: CensusResult) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def read_catalog(path) -> tuple[list[dict], dict]:
-    """Read a catalog back: (records, summary). Counts are recomputable
-    from the records without re-enumeration."""
-    records = []
-    summary = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if "summary" in obj:
-                    summary = obj["summary"]
-                else:
-                    records.append(obj)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not a valid catalog: {exc}") from exc
-    if summary is None:
-        raise InputError(f"{path} has no summary record")
-    return records, summary
-
-
-def counts_from_records(records) -> dict[str, int]:
-    return count_flags(PropertyFlags(**rec["flags"]) for rec in records)
 
 
 def suite_report_json(report: SuiteReport) -> str:

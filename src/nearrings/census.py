@@ -397,18 +397,16 @@ def _conjugation_tables(g: FiniteGroup):
 
     Row x of relabel(g, t, theta) is theta^-1 o t[theta(x)] o theta, so on
     index tuples relabeling is t'[x] = conj[t[theta[x]]]: n lookups. Aut(g)
-    is taken as the bijective members of the sorted End(g).
+    is taken as the bijective members of the sorted End(g); theta^-1 is
+    the i with theta o endos[i] the identity, and conj is read from comp.
     """
-    endos, index, _ = _endo_data(g)
-    n = g.order
+    endos, index, comp = _endo_data(g)
+    one = index[tuple(range(g.order))]
     out = []
-    for theta in (e for e in endos if len(set(e)) == n):
-        inv = [0] * n
-        for i, v in enumerate(theta):
-            inv[v] = i
-        conj = tuple(index[tuple(inv[e[theta[y]]] for y in range(n))]
-                     for e in endos)
-        out.append((theta, conj))
+    for th, theta in enumerate(endos):
+        if len(set(theta)) == g.order:
+            inv = comp[comp[th].index(one)]
+            out.append((theta, tuple(comp[c][th] for c in inv)))
     return out
 
 

@@ -228,7 +228,7 @@ def check_primary_ideals(r: Nearring) -> CheckVerdict:
         return _failed(cid, bad,
                        "addition is not abelian, so primary components are undefined")
     for p in prime_divisors(r.order):
-        members = p_component(r.group, p).members
+        members = p_component(r.group, p)
         bad = ideal_violation(r, members)
         if bad is not None:
             witness = {"law": "primary-component-ideal", "p": p, "component": list(members)}
@@ -328,16 +328,15 @@ TAIL_CHECKS = (
 CHECK_IDS = tuple(cid for cid, _ in NEARRING_CHECKS + MODULE_CHECKS + TAIL_CHECKS)
 
 
-def run_suite(r: Nearring, instance_id: str | None = None) -> SuiteReport:
-    """Run every check on a nearring; module checks use its regular module."""
-    if instance_id is None:
-        instance_id = r.label()
+def run_suite(r: Nearring) -> SuiteReport:
+    """Run every check on a nearring, named by its label; module checks use
+    its regular module."""
     verdicts = [fn(r) for _, fn in NEARRING_CHECKS]
     m = regular_module(r)
     verdicts.extend(fn(m) for _, fn in MODULE_CHECKS)
     verdicts.extend(fn(r) for _, fn in TAIL_CHECKS)
     overall = all(v.holds for v in verdicts if v.applicable)
-    return SuiteReport(instance_id, tuple(verdicts), overall)
+    return SuiteReport(r.label(), tuple(verdicts), overall)
 
 
 def summarize_reports(reports) -> dict:

@@ -266,10 +266,7 @@ def main(argv=None) -> int:
             parser.error("lemmas needs exactly one of <file> or --census <groupspec>")
     try:
         return args.fn(args)
-    except NearringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NearringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

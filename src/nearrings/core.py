@@ -9,9 +9,9 @@ predicate is a pure function of the tables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import AxiomViolation, InputError, InvariantViolation, PreconditionError
+from .errors import AxiomViolation, InputError, PreconditionError
 from .groups import (
     FiniteGroup,
     Table,
@@ -80,9 +80,6 @@ class Nearring:
     identity: int | None
     flags: PropertyFlags
     name: str | None = None
-    # descriptive metadata (e.g. the composition order chosen for function
-    # nearrings); not part of the value's identity and not serialized
-    extra: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
     @property
     def order(self) -> int:
@@ -169,8 +166,7 @@ def classify_table(group: FiniteGroup, mul: Table, identity: int | None = None) 
     )
 
 
-def validate(candidate: CandidateMultiplication, name: str | None = None,
-             extra: tuple[tuple[str, str], ...] = ()) -> Nearring:
+def validate(candidate: CandidateMultiplication, name: str | None = None) -> Nearring:
     """Check the nearring axioms and build a Nearring with computed flags.
 
     The axiom scans report the first failing triple in row-major order,
@@ -191,7 +187,7 @@ def validate(candidate: CandidateMultiplication, name: str | None = None,
             f"{x}*({y}+{z}) = {lhs} but {x}*{y} + {x}*{z} = {rhs}")
     identity = find_identity(group, mul)
     flags = classify_table(group, mul, identity)
-    return Nearring(group, mul, identity, flags, name, extra)
+    return Nearring(group, mul, identity, flags, name)
 
 
 def build_unchecked(group: FiniteGroup, mul, name: str | None = None,
@@ -210,11 +206,6 @@ def build_unchecked(group: FiniteGroup, mul, name: str | None = None,
     if flags is None:
         flags = classify_table(group, table, identity)
     return Nearring(group, table, identity, flags, name)
-
-
-def classify(r: Nearring) -> PropertyFlags:
-    """Recompute the property flags from the tables (ignores the cache)."""
-    return classify_table(r.group, r.mul, r.identity)
 
 
 # -- element-level predicates -------------------------------------------------
@@ -301,15 +292,10 @@ def ideals(r: Nearring) -> list[tuple[int, ...]]:
     those instead of the full power set.
     """
     out = []
-    for sub in subgroups(r.group, normal_only=True):
-        if is_ideal(r, sub.members):
-            out.append(sub.members)
+    for members in subgroups(r.group, normal_only=True):
+        if is_ideal(r, members):
+            out.append(members)
     return out
-
-
-def is_simple(r: Nearring) -> bool:
-    """Exactly two ideals; the one-element nearring is not counted simple."""
-    return len(ideals(r)) == 2
 
 
 # -- modules ------------------------------------------------------------------
@@ -327,10 +313,6 @@ def annihilator(m: RModule) -> tuple[int, ...]:
     """All ring elements acting as zero on the whole carrier."""
     zero = (0,) * m.carrier.order
     return tuple(x for x, column in enumerate(zip(*m.action)) if column == zero)
-
-
-def is_faithful(m: RModule) -> bool:
-    return annihilator(m) == (0,)
 
 
 # -- builtin examples ----------------------------------------------------------
@@ -379,10 +361,10 @@ def _builtin_s3() -> Nearring:
 def _builtin_map_z2() -> Nearring:
     """The nearring of all functions on Z2.
 
-    Elements are the four functions f: Z2 -> Z2 indexed by 2*f(0) + f(1)
-    (so 0 is the zero function and 1 is the identity function); addition is
-    pointwise. Both composition orders are tried and the one satisfying the
-    left distributive law is kept; the choice is recorded in `extra`.
+    Elements are the four functions f: Z2 -> Z2 indexed by 2*f(0) + f(1):
+    0 is the zero function, 1 the identity, 2 is x+1 and 3 the constant 1.
+    Addition is pointwise and f*h = h o f, the composition order that is
+    left distributive: f*(h+k) = (h+k) o f = h o f + k o f.
     """
     funcs = [(0, 0), (0, 1), (1, 0), (1, 1)]
     index = {f: i for i, f in enumerate(funcs)}
@@ -391,19 +373,5 @@ def _builtin_map_z2() -> Nearring:
         for f in funcs
     )
     g = build_group({"order": 4, "add": [list(row) for row in add]})
-
-    def compose(outer, inner):  # outer applied after inner
-        return (outer[inner[0]], outer[inner[1]])
-
-    left_then_right = tuple(
-        tuple(index[compose(funcs[j], funcs[i])] for j in range(4)) for i in range(4))
-    right_then_left = tuple(
-        tuple(index[compose(funcs[i], funcs[j])] for j in range(4)) for i in range(4))
-    for mul, order_name in ((left_then_right, "left factor feeds the right factor"),
-                            (right_then_left, "right factor feeds the left factor")):
-        if law_failure(g, mul, "left-distributivity") is None:
-            return validate(
-                CandidateMultiplication(g, mul), name="map-z2",
-                extra=(("composition-order", order_name),
-                       ("elements", "0:zero 1:identity 2:x+1 3:constant-1")))
-    raise InvariantViolation("no composition order is left distributive on Map(Z2)")
+    mul = tuple(tuple(index[(h[f[0]], h[f[1]])] for h in funcs) for f in funcs)
+    return validate(CandidateMultiplication(g, mul), name="map-z2")

@@ -30,7 +30,3 @@ class AxiomViolation(NearringError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-
-
-class InvariantViolation(NearringError):
-    """A guaranteed internal invariant failed; signals a bug or invalid input."""

@@ -63,12 +63,6 @@ class FiniteGroup:
         return self.spec if self.spec is not None else f"raw[{self.order}]"
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    parent: FiniteGroup
-    members: tuple[int, ...]  # sorted
-
-
 def is_homomorphism(source: FiniteGroup, target: FiniteGroup, images: tuple[int, ...]) -> bool:
     """Whether images[x+y] = images[x] + images[y] for all x, y, compared
     one source row at a time."""
@@ -290,11 +284,6 @@ def build_raw_group(obj: dict) -> FiniteGroup:
     return FiniteGroup(n, add, names, None, _greedy_generators(add))
 
 
-def assert_valid(g: FiniteGroup) -> None:
-    """Re-run the full group axioms on an existing value (used by tests)."""
-    _validate_table(g.add)
-
-
 # -- spec operations ---------------------------------------------------------
 
 def exponent(g: FiniteGroup) -> int:
@@ -363,8 +352,9 @@ def endomorphisms(g: FiniteGroup, invertible_only: bool = False) -> tuple[tuple[
     return tuple(sorted(iter_endomorphisms(g)))
 
 
-def subgroups(g: FiniteGroup, normal_only: bool = False) -> list[Subgroup]:
-    """All subgroups (or all normal subgroups), sorted by (size, members)."""
+def subgroups(g: FiniteGroup, normal_only: bool = False) -> list[tuple[int, ...]]:
+    """All subgroups (or all normal subgroups) as sorted member tuples,
+    sorted by (size, members)."""
     found = {_closure(g.add, frozenset())}
     frontier = list(found)
     while frontier:
@@ -381,7 +371,7 @@ def subgroups(g: FiniteGroup, normal_only: bool = False) -> list[Subgroup]:
     sets = sorted(found, key=lambda s: (len(s), sorted(s)))
     if normal_only:
         sets = [s for s in sets if _is_normal(g, s)]
-    return [Subgroup(g, tuple(sorted(s))) for s in sets]
+    return [tuple(sorted(s)) for s in sets]
 
 
 def _is_normal(g: FiniteGroup, members: frozenset[int]) -> bool:
@@ -389,8 +379,9 @@ def _is_normal(g: FiniteGroup, members: frozenset[int]) -> bool:
     return all(add[add[h][a]][neg[h]] in members for h in range(g.order) for a in members)
 
 
-def p_component(g: FiniteGroup, p: int) -> Subgroup:
-    """The subgroup of all elements of p-power order in an abelian group."""
+def p_component(g: FiniteGroup, p: int) -> tuple[int, ...]:
+    """The sorted members of the subgroup of all elements of p-power order
+    in an abelian group."""
     if p < 2 or any(p % d == 0 for d in range(2, p)):
         raise InputError(f"{p} is not a prime")
     if not g.abelian:
@@ -401,8 +392,7 @@ def p_component(g: FiniteGroup, p: int) -> Subgroup:
             o //= p
         return o == 1
 
-    members = tuple(x for x in range(g.order) if p_power(g.orders[x]))
-    return Subgroup(g, members)
+    return tuple(x for x in range(g.order) if p_power(g.orders[x]))
 
 
 def prime_divisors(n: int) -> list[int]:

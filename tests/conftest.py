@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from nearrings.census import SearchSpec, census
@@ -25,3 +27,11 @@ def cached_census(spec: str, **kwargs):
 @pytest.fixture(scope="session")
 def census_of():
     return cached_census
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """The census caps its pool at os.cpu_count(), which it reads from the
+    os module; report four CPUs so that worker tests start real pools on
+    any host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)

@@ -150,7 +150,7 @@ def test_criterion_6_fault_injection(tmp_path, capsys):
     print("\nACCEPTANCE 6 (fault injection, 9 checks, 8 via CLI exit 1): PASS")
 
 
-def test_criterion_7_catalog_determinism(tmp_path):
+def test_criterion_7_catalog_determinism(tmp_path, four_cpus):
     """Byte-identical catalogs across repeated runs and worker counts."""
     for spec in ("S3", "Z8"):
         g = build_group(spec)

@@ -221,7 +221,7 @@ def test_filtered_census_is_the_filtered_full_census(spec, census_of):
         assert c.counts["total"] == len(kept)
 
 
-def test_census_worker_determinism(census_of):
+def test_census_worker_determinism(census_of, four_cpus):
     # Aut acts nontrivially on End of each of these groups, so roots are
     # really filtered before they are split over the workers.
     for spec, workers in (("S3", (2, 8)), ("D8", (2, 3)), ("Q8", (2, 3))):
@@ -229,6 +229,7 @@ def test_census_worker_determinism(census_of):
         base = census_of(spec)
         for w in workers:
             c = census(SearchSpec(g, worker_count=w))
+            assert c.workers > 1
             assert c.representatives == base.representatives
             assert c.counts == base.counts
             assert c.nodes_visited == base.nodes_visited
@@ -237,7 +238,7 @@ def test_census_worker_determinism(census_of):
 @pytest.mark.parametrize("spec, iso", [
     ("Z1", True), ("Z2", True), ("S3", True), ("Q8", True), ("D8", True),
     ("Z2xZ6", True), ("D8", False)])
-def test_catalog_is_identical_for_any_worker_count(spec, iso, census_of):
+def test_catalog_is_identical_for_any_worker_count(spec, iso, census_of, four_cpus):
     # Z1's root completes its only table; the unreduced D8 census splits
     # every root and has no automorphism triples.
     g = build_group(spec)
@@ -247,7 +248,7 @@ def test_catalog_is_identical_for_any_worker_count(spec, iso, census_of):
 
 
 @pytest.mark.parametrize("spec", ["D8", "Z2xZ6"])
-def test_parallel_classes_arrive_in_lex_order(spec):
+def test_parallel_classes_arrive_in_lex_order(spec, four_cpus):
     # Worker results are concatenated in path order, with no sort.
     kept, _, workers = _enumerate_classes(build_group(spec), True, 2)
     assert workers == 2
@@ -497,13 +498,16 @@ def test_census_refuses_groups_above_max_order():
         next(candidate_stream(g))
 
 
-@pytest.mark.parametrize("spec", ["S3", "D8", "Z2xZ4"])
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "Z2xZ4"])
 def test_conjugation_tables_match_relabel(spec):
     g = build_group(spec)
     endos, index, _ = _endo_data(g)
     assert all(a < b for a, b in zip(endos, endos[1:]))
     tables = [c.mul for c in itertools.islice(candidate_stream(g), 50)]
-    for theta, conj in _conjugation_tables(g):
+    conjs = _conjugation_tables(g)
+    # The automorphisms of `groups`, found independently of comp.
+    assert [theta for theta, _ in conjs] == list(endomorphisms(g, invertible_only=True))
+    for theta, conj in conjs:
         for t in tables:
             idx = [index[row] for row in t]
             moved = tuple(endos[conj[idx[theta[x]]]] for x in range(g.order))

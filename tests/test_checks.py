@@ -118,8 +118,8 @@ def test_suite_ring_z6_applicability_pattern():
 
 
 def test_suite_verdict_order_and_report_shape():
-    rep = run_suite(builtin("ring:Z2"), instance_id="z2")
-    assert rep.instance == "z2"
+    rep = run_suite(builtin("ring:Z2"))
+    assert rep.instance == "ring:Z2"
     assert tuple(v.check_id for v in rep.verdicts) == CHECK_IDS
     d = rep.as_dict()
     assert d["overall"] == "pass"
@@ -177,7 +177,7 @@ def test_summarize_reports():
     assert summary["applicable"]["arithmetic"] == 2
     assert summary["applicable"]["abelian-addition"] == 1
     assert summary["failures"] == []
-    bad = build_unchecked(build_group("Z4"), FILE_ENTRIES["identity-exponent"][1])
-    summary2 = summarize_reports([run_suite(bad, instance_id="bad")])
+    bad = build_unchecked(build_group("Z4"), FILE_ENTRIES["identity-exponent"][1], name="bad")
+    summary2 = summarize_reports([run_suite(bad)])
     assert summary2["overall"] == "fail"
     assert {"instance": "bad", "check_id": "identity-exponent"} in summary2["failures"]

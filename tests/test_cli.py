@@ -13,10 +13,8 @@ from corpus import FILE_ENTRIES
 from nearrings.catalog import (
     _dump,
     catalog_lines,
-    counts_from_records,
     parse_nearring_file,
     parse_nearring_json,
-    read_catalog,
     serialize_nearring,
     write_catalog,
     write_census_reports,
@@ -24,7 +22,7 @@ from nearrings.catalog import (
 from nearrings.census import SearchSpec, census_suite
 from nearrings.checks import run_suite, summarize_reports
 from nearrings.cli import main
-from nearrings.core import builtin
+from nearrings.core import PropertyFlags, builtin, count_flags
 from nearrings.errors import AxiomViolation, InputError
 from nearrings.groups import build_group
 
@@ -34,6 +32,16 @@ def write_entry(tmp_path, cid):
     path = tmp_path / f"{cid}.json"
     path.write_text(json.dumps({"name": f"corpus-{cid}", "group": spec, "mul": mul}))
     return str(path)
+
+
+def read_catalog(path):
+    """A catalog file's records and its trailing summary."""
+    *records, last = map(json.loads, path.read_text(encoding="utf-8").splitlines())
+    return records, last["summary"]
+
+
+def record_counts(records):
+    return count_flags(PropertyFlags(**rec["flags"]) for rec in records)
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +74,22 @@ def test_example_pipes_into_check(tmp_path, capsys):
     assert "semidistributive: yes" in out
     assert "distributive:     no" in out
     assert "identity:         none" in out
+
+
+EXAMPLE_SHA256 = {
+    "s3-paper": "bba0f3b5f021bd0725990704b640cca4d2b2aab7a074bb227d17b12d479cd6d5",
+    "map-z2": "3701c3bc7a653002fe2c39384bcd9b582a7a2177df89dd12c2d249989d3da782",
+    "ring:Z6": "ef1878199641d340552a8d4406ab866095191f852769453fbcf719cc2fe46477",
+    "zero:Q8": "954b385a25d064821addc9c646549038160c6f01730cdc8ead7f3b0db8d78b07",
+    "ring:Z2": "dbaa53d042ddf2d670108a6edf1f5dc3bb0a4dfab705546c30e163c43d84d34c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_SHA256))
+def test_cmd_example_is_pinned(capsys, name):
+    code, out, _ = run_cli(capsys, "example", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLE_SHA256[name]
 
 
 def test_example_unknown_name(capsys):
@@ -150,7 +174,7 @@ def test_cmd_census_z2(tmp_path, capsys):
     records, summary = read_catalog(out_path)
     assert summary["counts"]["total"] == 3
     assert len(records) == 3
-    assert counts_from_records(records) == summary["counts"]
+    assert record_counts(records) == summary["counts"]
 
 
 def test_cmd_census_json_format(tmp_path, capsys):
@@ -189,7 +213,7 @@ def _die(*args):
     os._exit(1)
 
 
-def test_cmd_census_dead_worker_exits_2(tmp_path, capsys, monkeypatch):
+def test_cmd_census_dead_worker_exits_2(tmp_path, capsys, monkeypatch, four_cpus):
     # Workers are forked, so they inherit the patched task and die at once.
     # Only pool workers run the task: the parent splits the tree with the
     # search itself. `nearrings.census` as an attribute is the function,
@@ -221,7 +245,7 @@ def test_catalog_reread_reproduces_counts(tmp_path, capsys, census_of):
     code, _, _ = run_cli(capsys, "census", "S3", "--out", str(out_path))
     assert code == 0
     records, summary = read_catalog(out_path)
-    assert counts_from_records(records) == summary["counts"]
+    assert record_counts(records) == summary["counts"]
     assert summary["counts"] == census_of("S3").counts
     assert summary["convention"] == "left"
     assert summary["version"]

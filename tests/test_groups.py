@@ -5,7 +5,7 @@ import pytest
 
 from nearrings.errors import AxiomViolation, InputError, PreconditionError
 from nearrings.groups import (
-    assert_valid,
+    _validate_table,
     build_group,
     endomorphisms,
     exponent,
@@ -111,7 +111,7 @@ def test_raw_table_accepts_valid_group():
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_named_families_satisfy_group_axioms(spec):
     g = build_group(spec)
-    assert_valid(g)  # latin square, associativity, identity 0, inverses
+    _validate_table(g.add)  # latin square, associativity, identity 0, inverses
 
 
 def test_element_orders():
@@ -173,7 +173,7 @@ def test_endomorphisms_match_brute_force_small(spec):
 def test_subgroups_z6():
     z6 = build_group("Z6")
     subs = subgroups(z6, normal_only=True)
-    assert [s.members for s in subs] == [(0,), (0, 3), (0, 2, 4), (0, 1, 2, 3, 4, 5)]
+    assert subs == [(0,), (0, 3), (0, 2, 4), (0, 1, 2, 3, 4, 5)]
 
 
 def test_subgroups_s3():
@@ -181,7 +181,7 @@ def test_subgroups_s3():
     allsubs = subgroups(s3)
     assert len(allsubs) == 6  # trivial, <a>, three <reflection>, whole
     normals = subgroups(s3, normal_only=True)
-    assert [s.members for s in normals] == [(0,), (0, 1, 2), (0, 1, 2, 3, 4, 5)]
+    assert normals == [(0,), (0, 1, 2), (0, 1, 2, 3, 4, 5)]
 
 
 def test_subgroups_trivial():
@@ -190,9 +190,9 @@ def test_subgroups_trivial():
 
 def test_p_component():
     z6 = build_group("Z6")
-    assert p_component(z6, 2).members == (0, 3)
-    assert p_component(z6, 3).members == (0, 2, 4)
-    assert p_component(z6, 5).members == (0,)
+    assert p_component(z6, 2) == (0, 3)
+    assert p_component(z6, 3) == (0, 2, 4)
+    assert p_component(z6, 5) == (0,)
     with pytest.raises(PreconditionError):
         p_component(build_group("S3"), 2)
     with pytest.raises(InputError):
@@ -213,7 +213,7 @@ def test_p_components_give_direct_sum(spec):
                 n //= d
         d += 1
     for p in primes:
-        sizes.append(len(p_component(g, p).members))
+        sizes.append(len(p_component(g, p)))
     assert prod(sizes, start=1) == g.order
 
 
