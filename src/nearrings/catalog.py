@@ -9,17 +9,20 @@ sets, so catalog records and census suite reports are joined from JSON
 fragments that are each encoded once, not dumped record by record. The
 joined text is the same canonical JSON a whole-record dump gives. Both
 outputs are streamed: each record or report is written as it is joined,
-so neither file is ever held whole in memory.
+so neither file is ever held whole in memory. `stream_catalog` goes
+further and writes each record as the census finds its class, joined
+from the class's index tuple, so no class is held at all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 
 from . import __version__
-from .census import CensusResult
+from .census import CensusResult, SearchSpec, census_classes, census_rows
 from .checks import CheckVerdict, SuiteReport, summarize_reports
 from .core import (
     CandidateMultiplication,
@@ -105,23 +108,29 @@ class _Encoded(dict):
         return text
 
 
-def catalog_lines(result: CensusResult):
-    """The catalog's lines, one at a time: each record, then the trailing
-    summary record.
+def _record_joiner(group: FiniteGroup, row_text):
+    """record(rows, flags): one catalog record, joined in sorted-key order
+    from the once-encoded flag set, group spec and rows, so it equals
+    _dump of the record's dict. row_text[key] is the JSON text of the row
+    that key stands for."""
+    spec = _dump(group_spec_json(group))
+    flag_text = _Encoded(PropertyFlags.as_dict)
+    row = row_text.__getitem__
+
+    def record(rows, flags) -> str:
+        return f'{{"flags":{flag_text[flags]},"group":{spec},"mul":[{",".join(map(row, rows))}]}}'
+
+    return record
+
+
+def _summary_line(result: CensusResult) -> str:
+    """The catalog's trailing summary record.
 
     Deliberately excludes elapsed time and worker count so that catalog
-    bytes are a pure function of the census content. Each record is
-    joined in sorted-key order from the once-encoded flag set, group
-    spec and rows, so it equals _dump of the record's dict.
+    bytes are a pure function of the census content.
     """
-    spec = group_spec_json(result.group)
-    group = _dump(spec)
-    rows = _Encoded(list)
-    flags = _Encoded(PropertyFlags.as_dict)
-    for rep, f in zip(result.representatives, result.rep_flags):
-        yield f'{{"flags":{flags[f]},"group":{group},"mul":[{",".join(map(rows.__getitem__, rep))}]}}'
-    yield _dump({"summary": {
-        "group": spec,
+    return _dump({"summary": {
+        "group": group_spec_json(result.group),
         "convention": "left",
         "iso_reduction": result.iso_reduction,
         "filters": list(result.filters),
@@ -134,12 +143,21 @@ def catalog_lines(result: CensusResult):
     }})
 
 
-def write_catalog(path, result: CensusResult) -> None:
-    """Write the catalog atomically: the file appears complete or not at all.
+def catalog_lines(result: CensusResult):
+    """The catalog's lines, one at a time: each record, then the trailing
+    summary record."""
+    record = _record_joiner(result.group, _Encoded(list))
+    for rep, f in zip(result.representatives, result.rep_flags):
+        yield record(rep, f)
+    yield _summary_line(result)
 
-    Lines go into a temporary file as they are joined, which then
-    replaces `path`. The file gets the mode open() would give a new file,
-    0o666 less the umask, not mkstemp's 0o600.
+
+@contextlib.contextmanager
+def _atomic_text(path):
+    """A text file that replaces `path` when the block ends, so the file
+    appears complete or not at all; if the block raises, the temporary
+    file is removed. The file gets the mode open() would give a new
+    file, 0o666 less the umask, not mkstemp's 0o600.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".catalog-", suffix=".tmp")
@@ -149,12 +167,36 @@ def write_catalog(path, result: CensusResult) -> None:
     try:
         os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in catalog_lines(result))
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_catalog(path, result: CensusResult) -> None:
+    """Write the catalog of a census result atomically, each line as it
+    is joined."""
+    with _atomic_text(path) as fh:
+        fh.writelines(line + "\n" for line in catalog_lines(result))
+
+
+def stream_catalog(path, spec: SearchSpec) -> CensusResult:
+    """Run the census of spec and write its catalog atomically: each record
+    as the census finds its class, then the summary. Returns the census
+    result, with no representatives.
+
+    Records are joined from index tuples with one encoded row per
+    endomorphism, so the bytes equal write_catalog's of census(spec), and
+    no class is held or decoded.
+    """
+    row_text = [_dump(list(row)) for row in census_rows(spec.group)]
+    record = _record_joiner(spec.group, row_text)
+    with _atomic_text(path) as fh:
+        result = census_classes(spec, lambda t, f: fh.write(record(t, f) + "\n"))
+        fh.write(_summary_line(result) + "\n")
+    return result
 
 
 def suite_report_json(report: SuiteReport) -> str:

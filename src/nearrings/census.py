@@ -31,25 +31,33 @@ entries to something smaller, the subtree is cut, since every completion
 keeps those entries; an automorphism that relabels them to something
 larger is dropped for the subtree. The test also runs after the
 assignment that completes a table, so every leaf has passed it complete
-and is kept as it comes. No raw table is stored, so memory grows with
-the classes found.
+and is kept as it comes.
+
+The search hands each leaf to a consumer as it is found and stores no
+table. `census_classes` is the one producer every output reads: it
+classifies and filters each leaf as it arrives and hands the kept class
+on, so a consumer that writes each class out (`nearrings census`) holds
+only the search's own state, while `census()` and `census_suite` keep
+every class.
 
 A census with several workers splits the tree two levels deep, at the
 root and at the first position it leaves free, and a pool of at most
 as many worker processes as CPUs searches below each surviving path.
 The split and the search below a path are two conditions of the one
 DFS step that also runs the whole search. The paths are in DFS
-order, so the workers' leaves, concatenated in path order, are in lex
-order with no sort, and the zero-map root, which holds most of the
-search, is shared out like any other.
+order, so the workers' leaves, handed on in path order as each path's
+list returns, are in lex order with no sort, and the zero-map root,
+which holds most of the search, is shared out like any other. The
+process pool is imported only when a census starts one.
 
 Kept classes are classified as index tuples too: a law of the form
 (a+b)c = ac+bc says row a+b is the pointwise sum of rows a and b, so
 distributivity and semidistributivity take n^2 lookups of sums of
 endomorphisms instead of an n^3 table scan, and zero symmetry and the
-identity are read off the rows. Only the classes that pass the filters
-are decoded to image tables; `core.classify_table` stays the
-image-space path and the independent reference.
+identity are read off the rows. The catalog is joined from index
+tuples; only `census()` and `census_suite` decode classes to image
+tables, and only those that pass the filters. `core.classify_table`
+stays the image-space path and the independent reference.
 
 Groups with more than MAX_ENDOMORPHISMS endomorphisms are refused before
 End(G) is enumerated in full. `relabel` and `canonicalize` work on image
@@ -64,9 +72,8 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .core import (
@@ -104,6 +111,10 @@ class SearchSpec:
 
 @dataclass
 class CensusResult:
+    """A census's counts and search data and, from `census()`, its classes
+    as tables. A streamed census (`census_classes`) hands its classes to a
+    consumer instead, and its representatives and rep_flags are empty."""
+
     group: FiniteGroup
     iso_reduction: bool
     filters: tuple[str, ...]
@@ -236,9 +247,10 @@ def _bits(mask):
         mask ^= low
 
 
-def _search(endos, comp, roots, conjs, screen, path=(), split=False):
+def _search(endos, comp, roots, conjs, screen, emit, path=(), split=False):
     """DFS over endomorphism assignments with closure propagation and
-    partial lex-leader pruning; returns (found, attempts).
+    partial lex-leader pruning: calls emit(leaf) on each leaf as it is
+    found and returns the attempt count.
 
     Element 0 takes the rows in `roots`. After every successful
     assignment, the root's and the one that completes the table included,
@@ -256,19 +268,18 @@ def _search(endos, comp, roots, conjs, screen, path=(), split=False):
     `attempts` is the number of candidate rows summed over the nodes:
     len(roots) at the root and len(endos) at every other node, whether
     screened out or tried; forced assignments made by propagation are
-    not counted. `found` lists each complete assignment as a tuple t of
-    endomorphism indices (row x of the table is endos[t[x]]) in DFS
-    order, which is lex order: siblings first differ at the branching
-    position, with e increasing.
+    not counted. A leaf is a complete assignment, as a tuple t of
+    endomorphism indices (row x of the table is endos[t[x]]), and the
+    leaves come in DFS order, which is lex order: siblings first differ
+    at the branching position, with e increasing.
 
     The same step cuts the tree two levels deep and searches it in parts.
-    With `split`, a branch is not searched below depth 2: `found` lists
-    the rows chosen on each branch that reaches it, in DFS order, as (root
-    row, row at the first position the root leaves free), or (root row,)
-    where the root's propagation completes the table, and `attempts`
-    counts those two levels. With a `path`, the node at each depth the
-    path covers tries only the path's row and counts no attempt, so the
-    search runs only below it. Searching below each path in turn gives the
+    With `split`, a branch is not searched below depth 2: its leaf is the
+    rows chosen on it, as (root row, row at the first position the root
+    leaves free), or (root row,) where the root's propagation completes
+    the table, and `attempts` counts those two levels. With a `path`, the
+    node at each depth the path covers tries only the path's row and
+    counts no attempt, so the search runs only below it. Searching below each path in turn gives the
     whole search's leaves in order, and its attempts with the split's.
     """
     n = len(endos[0])
@@ -276,7 +287,6 @@ def _search(endos, comp, roots, conjs, screen, path=(), split=False):
     # Assigned elements in assignment order: the propagation queue and the
     # undo trail at once.
     done: list[int] = []
-    found: list[tuple[int, ...]] = []
     # The rows chosen on the current branch, root first.
     branch: list[int] = []
     attempts = 0
@@ -330,7 +340,7 @@ def _search(endos, comp, roots, conjs, screen, path=(), split=False):
             pos += 1
         depth = len(branch)
         if pos == n or split and depth == 2:
-            found.append(tuple(branch) if split else tuple(assign))
+            emit(tuple(branch) if split else tuple(assign))
             return
         if pos:
             allowed &= ~screen.broken(assign, done, since)
@@ -355,14 +365,15 @@ def _search(endos, comp, roots, conjs, screen, path=(), split=False):
             del done[mark:]
 
     extend(0, conjs, (1 << len(endos)) - 1, 0)
-    return found, attempts
+    return attempts
 
 
 def candidate_stream(g: FiniteGroup):
     """All multiplications on g satisfying associativity and left
     distributivity, as a deterministic stream of candidates. The search
     runs in full on the first item; only the decoding is lazy."""
-    tables, _, _ = _enumerate_classes(g, False, 1)
+    tables = []
+    _enumerate_classes(g, False, 1, tables.append)
     endos = _endo_data(g)[0]
     for t in tables:
         yield CandidateMultiplication(g, _decode(endos, t))
@@ -466,39 +477,42 @@ def _lex_test(t, active):
 
 # -- census ---------------------------------------------------------------------
 
-def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int):
-    """The kept index tuples in lex order, the attempt count, and the
-    number of workers used: at most worker_count, the CPU count and the
-    number of paths.
+def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int, emit):
+    """Call emit on each kept index tuple, in lex order, and return the
+    attempt count and the number of workers used: at most worker_count,
+    the CPU count and the number of paths.
 
     With more than one worker the tree is split two levels deep, so the
     zero-map root, which holds most of the search, is shared out too. Each
     worker gets the census data once, and the paths go through the ordered
-    pool.map: their leaves, concatenated as they come, are the DFS order of
-    the whole search, which is lex order.
+    pool.map: their leaves, handed on path by path as they come, are the
+    DFS order of the whole search, which is lex order. A worker returns
+    the leaves below its path as one list.
     """
     endos, _, comp = _endo_data(g)
     roots, conjs = _roots(g, iso_reduction)
     screen = _Screen(endos, comp)
     workers = min(worker_count, os.cpu_count() or 1)
-    paths, nodes = (), 0
+    paths, nodes = [], 0
     if workers > 1:
-        paths, nodes = _search(endos, comp, roots, conjs, screen, split=True)
+        nodes = _search(endos, comp, roots, conjs, screen, paths.append, split=True)
     workers = min(workers, len(paths))
     if workers <= 1:
-        kept, nodes = _search(endos, comp, roots, conjs, screen)
-        return kept, nodes, 1
-    kept = []
+        return _search(endos, comp, roots, conjs, screen, emit), 1
+    # Imported here, so that a one-worker census never loads the pool.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     try:
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                  initargs=(endos, comp, roots, conjs)) as pool:
             for sub, count in pool.map(_search_below, paths):
-                kept.extend(sub)
+                for t in sub:
+                    emit(t)
                 nodes += count
     except BrokenProcessPool as exc:
         raise NearringError(
             f"a census worker process died (pool of {workers} workers): {exc}") from exc
-    return kept, nodes, workers
+    return nodes, workers
 
 
 # A pool worker's census data and screen, set once by `_start_worker`.
@@ -514,7 +528,8 @@ def _start_worker(endos, comp, roots, conjs):
 
 def _search_below(path):
     """Pool task: the leaves and attempts below one path of the split."""
-    return _search(*_worker_search, path=path)
+    found = []
+    return found, _search(*_worker_search, found.append, path=path)
 
 
 class _RowLaw(dict):
@@ -570,9 +585,13 @@ class _IndexClassifier:
             tuple(add[add[u][v]][u] for v in range(n)) for u in range(n)))
 
     def identity(self, t) -> int | None:
-        """The u whose row is the identity map and with x*u = x for all x."""
+        """The u whose row is the identity map and with x*u = x for all x.
+
+        x*u = x for all x makes x -> x*u injective, so no identity exists
+        unless the rows t[x] are pairwise distinct.
+        """
         one, endos = self.one, self.endos
-        if one not in t:
+        if one not in t or len(set(t)) < len(t):
             return None
         for u, e in enumerate(t):
             if e == one and all(endos[f][u] == x for x, f in enumerate(t)):
@@ -595,39 +614,75 @@ def _flag_set(*values) -> PropertyFlags:
     return PropertyFlags(*values)
 
 
-def census(spec: SearchSpec) -> CensusResult:
-    """Enumerate the classes (or, without reduction, every table),
-    classify, filter and count. The result is independent of worker_count.
+def census_classes(spec: SearchSpec, emit) -> CensusResult:
+    """The census producer: call emit(t, flags) on each class that passes
+    the filters, as it is found and in lex order, and return the census's
+    counts and search data, with no representatives.
 
-    Classes are classified and filtered as index tuples (`_IndexClassifier`);
-    only the kept ones are decoded to tables.
+    t is an index tuple over `census_rows(spec.group)`, and flags its
+    PropertyFlags. Classes are classified and filtered as index tuples
+    (`_IndexClassifier`); the leaves are associative and left
+    distributive by construction (a tested invariant), so only the flags
+    are computed. The classes and the counts are independent of
+    worker_count.
     """
     g = spec.group
     t0 = time.perf_counter()
-    tables, nodes, workers = _enumerate_classes(g, spec.iso_reduction,
-                                                spec.worker_count)
     endos, index, _ = _endo_data(g)
-    # The stream is associative and left distributive by construction (a
-    # tested invariant), so only the flags are computed here.
     classifier = _IndexClassifier(g, endos, index)
     wanted = [_FLAG_ATTR[name] for name in spec.filters]
-    kept, flags = [], []
-    for t in tables:
+    # Census flag sets are shared objects (`_flag_set`), so the tally has
+    # a handful of keys.
+    tally: Counter = Counter()
+
+    def leaf(t):
         f = classifier.flags(t)
         if all(getattr(f, attr) for attr in wanted):
-            kept.append(t)
-            flags.append(f)
+            tally[f] += 1
+            emit(t, f)
+
+    nodes, workers = _enumerate_classes(g, spec.iso_reduction, spec.worker_count, leaf)
     return CensusResult(
         group=g,
         iso_reduction=spec.iso_reduction,
         filters=tuple(spec.filters),
-        counts=count_flags(flags),
-        representatives=tuple(_decode(endos, t) for t in kept),
-        rep_flags=tuple(flags),
+        counts=count_flags(tally),
+        representatives=(),
+        rep_flags=(),
         nodes_visited=nodes,
         elapsed=time.perf_counter() - t0,
         workers=workers,
     )
+
+
+def census_rows(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The endomorphism image vectors, sorted, that the index tuples of
+    `census_classes` index: row x of the table of t is census_rows(g)[t[x]]."""
+    return _endo_data(g)[0]
+
+
+def _collect(spec: SearchSpec):
+    """Every class of the census: its result, the index tuples and their
+    flags."""
+    kept, flags = [], []
+
+    def keep(t, f):
+        kept.append(t)
+        flags.append(f)
+
+    return census_classes(spec, keep), kept, flags
+
+
+def census(spec: SearchSpec) -> CensusResult:
+    """Enumerate the classes (or, without reduction, every table),
+    classify, filter and count. The result is independent of worker_count.
+
+    Only the kept classes are decoded to tables.
+    """
+    result, kept, flags = _collect(spec)
+    endos = census_rows(spec.group)
+    return replace(result, representatives=tuple(_decode(endos, t) for t in kept),
+                   rep_flags=tuple(flags))
 
 
 # Largest order the oracle scans. Every group of order <= 7 has at most
@@ -674,15 +729,19 @@ def census_suite(spec: SearchSpec):
     """Run the check suite on every census class, yielding one report per
     class, named "<group>[i]".
 
-    The suite runs on the classified classes as the census built them,
-    with no re-validation: every row is an endomorphism (left
-    distributivity), every leaf satisfies the closure law (associativity),
-    and the flags equal the classify_table that validate calls (a tested
-    invariant). The identity is looked up only where the flags have one.
+    The census keeps each class as an index tuple and its flags, and a
+    class is decoded only when its report is built. The suite runs on
+    the classified classes with no re-validation: every row is an
+    endomorphism (left distributivity), every leaf satisfies the closure
+    law (associativity), and the flags equal the classify_table that
+    validate calls (a tested invariant). The identity is looked up only
+    where the flags have one.
     """
-    result = census(spec)
-    g = result.group
+    _, kept, flags = _collect(spec)
+    g = spec.group
     label = g.label()
-    for i, (rep, flags) in enumerate(zip(result.representatives, result.rep_flags)):
-        identity = find_identity(g, rep) if flags.has_identity else None
-        yield run_suite(Nearring(g, rep, identity, flags, f"{label}[{i}]"))
+    endos = census_rows(g)
+    for i, (t, f) in enumerate(zip(kept, flags)):
+        rep = _decode(endos, t)
+        identity = find_identity(g, rep) if f.has_identity else None
+        yield run_suite(Nearring(g, rep, identity, f, f"{label}[{i}]"))

@@ -15,8 +15,8 @@ from . import __version__
 from .catalog import (
     parse_nearring_file,
     serialize_nearring,
+    stream_catalog,
     suite_report_json,
-    write_catalog,
     write_census_reports,
 )
 from .census import (
@@ -61,11 +61,10 @@ def cmd_census(args) -> int:
     filters = tuple(_CLI_FILTERS[f] for f in args.filter)
     spec = SearchSpec(group, filters=filters,
                       iso_reduction=not args.no_iso, worker_count=args.workers)
-    result = census(spec)
     out_path = args.out
     if out_path is None:
         out_path = f"census-{group.label()}.jsonl"
-    write_catalog(out_path, result)
+    result = stream_catalog(out_path, spec)
     if args.format == "json":
         payload = {
             "group": group.label(),

@@ -9,6 +9,7 @@ predicate is a pure function of the tables.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import AxiomViolation, InputError, PreconditionError
@@ -44,11 +45,12 @@ FLAG_TABLE = (
 
 
 def count_flags(flags) -> dict[str, int]:
-    """The total number of flag sets and, per FLAG_TABLE key, how many hold it."""
-    flags = list(flags)
-    counts = {"total": len(flags)}
+    """The total number of flag sets and, per FLAG_TABLE key, how many hold
+    it. `flags` is an iterable of flag sets, or a Counter of them."""
+    tally = Counter(flags)
+    counts = {"total": sum(tally.values())}
     for key, attr, _ in FLAG_TABLE:
-        counts[key] = sum(getattr(f, attr) for f in flags)
+        counts[key] = sum(k for f, k in tally.items() if getattr(f, attr))
     return counts
 
 

@@ -250,7 +250,8 @@ def test_catalog_is_identical_for_any_worker_count(spec, iso, census_of, four_cp
 @pytest.mark.parametrize("spec", ["D8", "Z2xZ6"])
 def test_parallel_classes_arrive_in_lex_order(spec, four_cpus):
     # Worker results are concatenated in path order, with no sort.
-    kept, _, workers = _enumerate_classes(build_group(spec), True, 2)
+    kept = []
+    _, workers = _enumerate_classes(build_group(spec), True, 2, kept.append)
     assert workers == 2
     assert kept == sorted(kept)
 
@@ -266,23 +267,26 @@ def test_split_paths_partition_the_search(spec, iso):
     endos, _, comp = _endo_data(g)
     roots, conjs = _roots(g, iso)
     screen = _Screen(endos, comp)
-    paths, attempts = _search(endos, comp, roots, conjs, screen, split=True)
+    paths = []
+    attempts = _search(endos, comp, roots, conjs, screen, paths.append, split=True)
     assert paths == sorted(set(paths))
     leaves = []
     for path in paths:
-        sub, count = _search(endos, comp, roots, conjs, screen, path=path)
-        leaves += sub
-        attempts += count
-    assert (leaves, attempts) == _search(endos, comp, roots, conjs, screen)
+        attempts += _search(endos, comp, roots, conjs, screen, leaves.append, path=path)
+    whole = []
+    assert attempts == _search(endos, comp, roots, conjs, screen, whole.append)
+    assert leaves == whole
 
 
 def test_pool_is_capped_at_the_cpu_count(monkeypatch):
     # The census module reads os.cpu_count when it sizes the pool.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     g = build_group("D8")
-    kept, _, workers = _enumerate_classes(g, True, 8)
+    kept, alone = [], []
+    _, workers = _enumerate_classes(g, True, 8, kept.append)
     assert workers == 2
-    assert kept == _enumerate_classes(g, True, 1)[0]
+    _enumerate_classes(g, True, 1, alone.append)
+    assert kept == alone
 
 
 @pytest.mark.parametrize("spec", ["D8", "Z2xZ6"])
@@ -290,7 +294,8 @@ def test_split_shares_out_the_zero_map_root(spec):
     g = build_group(spec)
     endos, _, comp = _endo_data(g)
     assert endos[0] == (0,) * g.order
-    paths, _ = _search(endos, comp, *_roots(g, True), _Screen(endos, comp), split=True)
+    paths = []
+    _search(endos, comp, *_roots(g, True), _Screen(endos, comp), paths.append, split=True)
     assert sum(path[0] == 0 for path in paths) >= 2
 
 
