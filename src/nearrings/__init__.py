@@ -20,13 +20,11 @@ from .core import (
     CandidateMultiplication,
     Nearring,
     PropertyFlags,
-    RModule,
     annihilator,
     builtin,
     distributive_elements,
     ideals,
     is_ideal,
-    regular_module,
     units,
     validate,
 )

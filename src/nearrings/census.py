@@ -661,28 +661,24 @@ def census_rows(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return _endo_data(g)[0]
 
 
-def _collect(spec: SearchSpec):
-    """Every class of the census: its result, the index tuples and their
-    flags."""
-    kept, flags = [], []
-
-    def keep(t, f):
-        kept.append(t)
-        flags.append(f)
-
-    return census_classes(spec, keep), kept, flags
-
-
 def census(spec: SearchSpec) -> CensusResult:
     """Enumerate the classes (or, without reduction, every table),
     classify, filter and count. The result is independent of worker_count.
 
-    Only the kept classes are decoded to tables.
+    Each kept class is decoded to its table as it arrives, so the index
+    tuples are not held beside the tables; `elapsed` covers the decoding.
     """
-    result, kept, flags = _collect(spec)
+    t0 = time.perf_counter()
     endos = census_rows(spec.group)
-    return replace(result, representatives=tuple(_decode(endos, t) for t in kept),
-                   rep_flags=tuple(flags))
+    reps, flags = [], []
+
+    def keep(t, f):
+        reps.append(_decode(endos, t))
+        flags.append(f)
+
+    result = census_classes(spec, keep)
+    return replace(result, representatives=tuple(reps), rep_flags=tuple(flags),
+                   elapsed=time.perf_counter() - t0)
 
 
 # Largest order the oracle scans. Every group of order <= 7 has at most
@@ -737,7 +733,13 @@ def census_suite(spec: SearchSpec):
     validate calls (a tested invariant). The identity is looked up only
     where the flags have one.
     """
-    _, kept, flags = _collect(spec)
+    kept, flags = [], []
+
+    def keep(t, f):
+        kept.append(t)
+        flags.append(f)
+
+    census_classes(spec, keep)
     g = spec.group
     label = g.label()
     endos = census_rows(g)

@@ -7,6 +7,10 @@ cached flags; conclusions are always rescanned from the raw tables, so a
 corrupted value cannot pass on the strength of its cache. Checks never
 trust each other's verdicts: shared hypotheses (like abelian addition)
 are re-tested where a check depends on them.
+
+Every check takes the nearring itself, and they run in the order of the
+one CHECKS table. The two module checks read the regular module straight
+from the nearring: its carrier is r.group and its action is r.mul.
 """
 
 from __future__ import annotations
@@ -17,13 +21,11 @@ from math import gcd
 
 from .core import (
     Nearring,
-    RModule,
     annihilator,
     ideal_violation,
     ideals,
     law_failure,
     law_failures,
-    regular_module,
     units,
 )
 from .groups import exponent, is_homomorphism, p_component, prime_divisors, times
@@ -269,13 +271,15 @@ def check_no_order_two(r: Nearring) -> CheckVerdict:
     return _passed(cid)
 
 
-# -- module-level checks --------------------------------------------------------
+# -- regular-module checks ------------------------------------------------------
+# The module is the additive group r.group acted on by right multiplication:
+# g acted on by x is r.mul[g][x].
 
-def check_annihilator_ideal(m: RModule) -> CheckVerdict:
-    """The annihilator of a module is an ideal of the acting nearring."""
+def check_annihilator_ideal(r: Nearring) -> CheckVerdict:
+    """The annihilator of the regular module is an ideal of the nearring."""
     cid = "annihilator-ideal"
-    ann = annihilator(m)
-    bad = ideal_violation(m.ring, ann)
+    ann = annihilator(r)
+    bad = ideal_violation(r, ann)
     if bad is not None:
         witness = {"law": "annihilator-ideal", "annihilator": list(ann)}
         witness.update(bad)
@@ -283,23 +287,24 @@ def check_annihilator_ideal(m: RModule) -> CheckVerdict:
     return _passed(cid)
 
 
-def check_faithful_module_ring(m: RModule) -> CheckVerdict:
+def check_faithful_module_ring(r: Nearring) -> CheckVerdict:
     """A faithful module with abelian carrier whose elements all act as
     additive endomorphisms forces the acting nearring to be fully
     distributive (an associative ring).
 
-    All three hypotheses are recomputed from the module tables.
+    All three hypotheses are recomputed from the regular module: the
+    carrier r.group and the action r.mul.
     """
     cid = "faithful-module"
-    if annihilator(m) != (0,):
+    if annihilator(r) != (0,):
         return _vacuous(cid, "module is not faithful")
-    if not m.carrier.abelian:
+    if not r.group.abelian:
         return _vacuous(cid, "carrier is not abelian")
-    for x, column in enumerate(zip(*m.action)):
-        if not is_homomorphism(m.carrier, m.carrier, column):
+    for x, column in enumerate(zip(*r.mul)):
+        if not is_homomorphism(r.group, r.group, column):
             return _vacuous(cid, f"element {x} does not act as an endomorphism")
-    bad = (_law_witness(m.ring, "left-distributivity", "xyz")
-           or _law_witness(m.ring, "right-distributivity", "rst"))
+    bad = (_law_witness(r, "left-distributivity", "xyz")
+           or _law_witness(r, "right-distributivity", "rst"))
     if bad is not None:
         return _failed(cid, bad)
     return _passed(cid)
@@ -307,34 +312,25 @@ def check_faithful_module_ring(m: RModule) -> CheckVerdict:
 
 # -- suite runner ----------------------------------------------------------------
 
-NEARRING_CHECKS = (
+# Every check, in verdict order.
+CHECKS = (
     ("arithmetic", check_arithmetic),
     ("abelian-addition", check_abelian_addition),
     ("identity-exponent", check_identity_exponent),
     ("odd-order-distributive", check_odd_distributive),
     ("primary-ideals", check_primary_ideals),
-)
-
-MODULE_CHECKS = (
     ("annihilator-ideal", check_annihilator_ideal),
     ("faithful-module", check_faithful_module_ring),
-)
-
-TAIL_CHECKS = (
     ("simple-ring", check_simple_is_ring),
     ("no-order-two", check_no_order_two),
 )
 
-CHECK_IDS = tuple(cid for cid, _ in NEARRING_CHECKS + MODULE_CHECKS + TAIL_CHECKS)
+CHECK_IDS = tuple(cid for cid, _ in CHECKS)
 
 
 def run_suite(r: Nearring) -> SuiteReport:
-    """Run every check on a nearring, named by its label; module checks use
-    its regular module."""
-    verdicts = [fn(r) for _, fn in NEARRING_CHECKS]
-    m = regular_module(r)
-    verdicts.extend(fn(m) for _, fn in MODULE_CHECKS)
-    verdicts.extend(fn(r) for _, fn in TAIL_CHECKS)
+    """Run every check on a nearring, named by its label."""
+    verdicts = [fn(r) for _, fn in CHECKS]
     overall = all(v.holds for v in verdicts if v.applicable)
     return SuiteReport(r.label(), tuple(verdicts), overall)
 

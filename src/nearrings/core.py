@@ -1,4 +1,4 @@
-"""Validated nearring values, property predicates, ideals, modules, builtins.
+"""Validated nearring values, predicates, ideals, annihilators, builtins.
 
 A (left) nearring here is a group together with an associative
 multiplication table satisfying the left distributive law
@@ -89,15 +89,6 @@ class Nearring:
 
     def label(self) -> str:
         return self.name if self.name else f"nearring-on-{self.group.label()}"
-
-
-@dataclass(frozen=True)
-class RModule:
-    """A group with a right nearring action: action[g][r] is g acted on by r."""
-
-    carrier: FiniteGroup
-    ring: Nearring
-    action: Table
 
 
 # -- validation and classification -------------------------------------------
@@ -300,21 +291,14 @@ def ideals(r: Nearring) -> list[tuple[int, ...]]:
     return out
 
 
-# -- modules ------------------------------------------------------------------
+# -- the regular module -------------------------------------------------------
 
-def regular_module(r: Nearring) -> RModule:
-    """The additive group of r acting on itself by right multiplication.
-
-    The module axioms are associativity and left distributivity of r, so
-    a validated r needs no further scan.
-    """
-    return RModule(carrier=r.group, ring=r, action=r.mul)
-
-
-def annihilator(m: RModule) -> tuple[int, ...]:
-    """All ring elements acting as zero on the whole carrier."""
-    zero = (0,) * m.carrier.order
-    return tuple(x for x, column in enumerate(zip(*m.action)) if column == zero)
+def annihilator(r: Nearring) -> tuple[int, ...]:
+    """The annihilator of the regular module (the additive group of r acted
+    on by right multiplication): all x with g*x = 0 for every g, that is
+    the zero columns of r.mul."""
+    zero = (0,) * r.order
+    return tuple(x for x, column in enumerate(zip(*r.mul)) if column == zero)
 
 
 # -- builtin examples ----------------------------------------------------------

@@ -19,7 +19,6 @@ from nearrings.core import (
     build_unchecked,
     builtin,
     distributive_elements,
-    regular_module,
     units,
     validate,
 )
@@ -71,7 +70,7 @@ def test_criterion_3_worked_example_verification():
     assert not r.flags.distributive
     assert r.identity is None
     assert distributive_elements(r) == (0, 1, 2)
-    assert annihilator(regular_module(r)) == (0, 1, 2)
+    assert annihilator(r) == (0, 1, 2)
     print("\nACCEPTANCE 3 (s3-paper classification): PASS")
 
 
@@ -120,16 +119,12 @@ def test_criterion_6_fault_injection(tmp_path, capsys):
     cached flags of a valid table, which only the library path can
     express; the witness still re-verifies against the raw tables.
     """
-    from nearrings.checks import MODULE_CHECKS, NEARRING_CHECKS, TAIL_CHECKS
+    from nearrings.checks import CHECKS
 
-    by_id = dict(NEARRING_CHECKS + TAIL_CHECKS)
-    module_by_id = dict(MODULE_CHECKS)
+    by_id = dict(CHECKS)
     for cid, (spec, mul, _notes) in FILE_ENTRIES.items():
         r = build_unchecked(build_group(spec), mul)
-        if cid in module_by_id:
-            verdict = module_by_id[cid](regular_module(r))
-        else:
-            verdict = by_id[cid](r)
+        verdict = by_id[cid](r)
         assert verdict.applicable and not verdict.holds, cid
         reverify_witness(r, verdict)
         path = tmp_path / f"{cid}.json"

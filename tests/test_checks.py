@@ -3,9 +3,7 @@ import pytest
 from corpus import FILE_ENTRIES, NO_ORDER_TWO_ENTRY, reverify_witness
 from nearrings.checks import (
     CHECK_IDS,
-    MODULE_CHECKS,
-    NEARRING_CHECKS,
-    TAIL_CHECKS,
+    CHECKS,
     check_abelian_addition,
     check_annihilator_ideal,
     check_arithmetic,
@@ -18,18 +16,11 @@ from nearrings.checks import (
     run_suite,
     summarize_reports,
 )
-from nearrings.core import build_unchecked, builtin, regular_module
+from nearrings.core import build_unchecked, builtin
 from nearrings.groups import build_group
 
 
-CHECK_BY_ID = dict(NEARRING_CHECKS + TAIL_CHECKS)
-MODULE_BY_ID = dict(MODULE_CHECKS)
-
-
-def run_check_by_id(cid, r):
-    if cid in MODULE_BY_ID:
-        return MODULE_BY_ID[cid](regular_module(r))
-    return CHECK_BY_ID[cid](r)
+CHECK_BY_ID = dict(CHECKS)
 
 
 # -- behaviour on genuine instances -------------------------------------------
@@ -78,14 +69,14 @@ def test_p_ideals_on_examples():
 
 def test_annihilator_on_examples():
     for name in ("s3-paper", "ring:Z6", "zero:Z4"):
-        v = check_annihilator_ideal(regular_module(builtin(name)))
+        v = check_annihilator_ideal(builtin(name))
         assert v.applicable and v.holds
 
 
 def test_faithful_module_on_examples():
-    v = check_faithful_module_ring(regular_module(builtin("ring:Z6")))
+    v = check_faithful_module_ring(builtin("ring:Z6"))
     assert v.applicable and v.holds
-    s3 = check_faithful_module_ring(regular_module(builtin("s3-paper")))
+    s3 = check_faithful_module_ring(builtin("s3-paper"))
     assert not s3.applicable  # annihilator is {0,a,2a}: not faithful
 
 
@@ -146,7 +137,7 @@ def test_witness_present_iff_applicable_and_failing():
 def test_fault_corpus_fires_and_reverifies(cid):
     spec, mul, _notes = FILE_ENTRIES[cid]
     r = build_unchecked(build_group(spec), mul)
-    v = run_check_by_id(cid, r)
+    v = CHECK_BY_ID[cid](r)
     assert v.applicable, f"{cid} hypothesis scans must pass on the corpus table"
     assert not v.holds, f"{cid} must fail on the corpus table"
     reverify_witness(r, v)

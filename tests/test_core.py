@@ -4,7 +4,6 @@ import pytest
 
 from nearrings.core import (
     CandidateMultiplication,
-    RModule,
     annihilator,
     build_unchecked,
     builtin,
@@ -15,7 +14,6 @@ from nearrings.core import (
     is_ideal,
     law_failure,
     law_failures,
-    regular_module,
     units,
     validate,
 )
@@ -283,39 +281,17 @@ def test_ideals(ring_z6, s3_paper):
     assert ideals(builtin("zero:Z1")) == [(0,)]
 
 
-def test_regular_module(ring_z6, s3_paper):
-    m = regular_module(ring_z6)
-    assert m.action == ring_z6.mul
-    assert m.carrier is ring_z6.group
-    z = regular_module(builtin("zero:Z2"))
-    assert z.action == ((0, 0), (0, 0))
-    assert regular_module(s3_paper).action == s3_paper.mul
-
-
 def test_annihilator(ring_z6, s3_paper):
-    assert annihilator(regular_module(ring_z6)) == (0,)
+    assert annihilator(ring_z6) == (0,)
     z2 = builtin("zero:Z2")
-    assert annihilator(regular_module(z2)) == (0, 1)
-    assert annihilator(regular_module(s3_paper)) == (0, 1, 2)
-
-
-def test_annihilator_reads_columns_of_the_action():
-    # Carrier and ring orders differ, so reading rows (carrier elements)
-    # instead of columns (ring elements) gives a different answer.
-    # Z2 as a module over Z4: g acted on by r is g*r mod 2.
-    z4 = builtin("ring:Z4")
-    m = RModule(build_group("Z2"), z4, ((0, 0, 0, 0), (0, 1, 0, 1)))
-    assert annihilator(m) == (0, 2)
-    # Z4 over the zero ring on Z2: 1 doubles, 0 kills.
-    zero = builtin("zero:Z2")
-    m = RModule(build_group("Z4"), zero, ((0, 0), (0, 2), (0, 0), (0, 2)))
-    assert annihilator(m) == (0,)
+    assert annihilator(z2) == (0, 1)
+    assert annihilator(s3_paper) == (0, 1, 2)
 
 
 def test_annihilator_of_regular_module_is_ideal():
     for name in ("ring:Z6", "s3-paper", "map-z2", "zero:Z4", "ring:Z7"):
         r = builtin(name)
-        assert is_ideal(r, annihilator(regular_module(r)))
+        assert is_ideal(r, annihilator(r))
 
 
 def test_builtin_unknown():
