@@ -143,15 +143,6 @@ def _summary_line(result: CensusResult) -> str:
     }})
 
 
-def catalog_lines(result: CensusResult):
-    """The catalog's lines, one at a time: each record, then the trailing
-    summary record."""
-    record = _record_joiner(result.group, _Encoded(list))
-    for rep, f in zip(result.representatives, result.rep_flags):
-        yield record(rep, f)
-    yield _summary_line(result)
-
-
 @contextlib.contextmanager
 def _atomic_text(path):
     """A text file that replaces `path` when the block ends, so the file
@@ -176,10 +167,13 @@ def _atomic_text(path):
 
 
 def write_catalog(path, result: CensusResult) -> None:
-    """Write the catalog of a census result atomically, each line as it
-    is joined."""
+    """Write the catalog of a census result atomically: each record as it
+    is joined, then the trailing summary record."""
+    record = _record_joiner(result.group, _Encoded(list))
     with _atomic_text(path) as fh:
-        fh.writelines(line + "\n" for line in catalog_lines(result))
+        for rep, f in zip(result.representatives, result.rep_flags):
+            fh.write(record(rep, f) + "\n")
+        fh.write(_summary_line(result) + "\n")
 
 
 def stream_catalog(path, spec: SearchSpec) -> CensusResult:

@@ -37,8 +37,8 @@ The search hands each leaf to a consumer as it is found and stores no
 table. `census_classes` is the one producer every output reads: it
 classifies and filters each leaf as it arrives and hands the kept class
 on, so a consumer that writes each class out (`nearrings census`) holds
-only the search's own state, while `census()` and `census_suite` keep
-every class.
+only the search's own state, while `census()` keeps every class as a
+table and `census_suite` as 16-bit indices in one flat array.
 
 A census with several workers splits the tree two levels deep, at the
 root and at the first position it leaves free, and a pool of at most
@@ -577,7 +577,6 @@ class _IndexClassifier:
 
     def __init__(self, g: FiniteGroup, endos, index):
         n, add = g.order, g.add
-        self.endos = endos
         self.abelian = g.abelian
         self.one = index[tuple(range(n))]
         self.distributive = _RowLaw(endos, index, add)
@@ -588,15 +587,14 @@ class _IndexClassifier:
         """The u whose row is the identity map and with x*u = x for all x.
 
         x*u = x for all x makes x -> x*u injective, so no identity exists
-        unless the rows t[x] are pairwise distinct.
+        unless the rows t[x] are pairwise distinct. When they are, the u
+        whose row t[u] is the identity map is the identity: u*y = y gives
+        (x*u)*y = x*(u*y) = x*y by associativity, which every census leaf
+        has, so x*u and x have the same row and are equal.
         """
-        one, endos = self.one, self.endos
-        if one not in t or len(set(t)) < len(t):
+        if self.one not in t or len(set(t)) < len(t):
             return None
-        for u, e in enumerate(t):
-            if e == one and all(endos[f][u] == x for x, f in enumerate(t)):
-                return u
-        return None
+        return t.index(self.one)
 
     def flags(self, t) -> PropertyFlags:
         # Right distributivity implies semidistributivity, so only a
@@ -725,25 +723,30 @@ def census_suite(spec: SearchSpec):
     """Run the check suite on every census class, yielding one report per
     class, named "<group>[i]".
 
-    The census keeps each class as an index tuple and its flags, and a
-    class is decoded only when its report is built. The suite runs on
-    the classified classes with no re-validation: every row is an
-    endomorphism (left distributivity), every leaf satisfies the closure
-    law (associativity), and the flags equal the classify_table that
+    The census keeps the index tuples of all classes in one flat array
+    of 16-bit entries, n per class (an index is below MAX_ENDOMORPHISMS),
+    beside their flags, and a class is sliced out and decoded only when
+    its report is built. The suite runs on the classified classes with
+    no re-validation: every row is an endomorphism (left
+    distributivity), every leaf satisfies the closure law
+    (associativity), and the flags equal the classify_table that
     validate calls (a tested invariant). The identity is looked up only
     where the flags have one.
     """
-    kept, flags = [], []
+    # Imported here, as the process pool is: `array` is a shared library,
+    # and a census that runs no suite need not load it.
+    from array import array
+    kept, flags = array("H"), []
 
     def keep(t, f):
-        kept.append(t)
+        kept.extend(t)
         flags.append(f)
 
     census_classes(spec, keep)
     g = spec.group
-    label = g.label()
+    n, label = g.order, g.label()
     endos = census_rows(g)
-    for i, (t, f) in enumerate(zip(kept, flags)):
-        rep = _decode(endos, t)
+    for i, f in enumerate(flags):
+        rep = _decode(endos, kept[i * n:(i + 1) * n])
         identity = find_identity(g, rep) if f.has_identity else None
         yield run_suite(Nearring(g, rep, identity, f, f"{label}[{i}]"))

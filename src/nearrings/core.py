@@ -281,14 +281,11 @@ def is_ideal(r: Nearring, members) -> bool:
 def ideals(r: Nearring) -> list[tuple[int, ...]]:
     """All ideals, in deterministic (size, members) order.
 
-    Only normal additive subgroups can be ideals, so the scan runs over
-    those instead of the full power set.
+    Only additive subgroups can be ideals, so the scan runs over those
+    instead of the full power set; `ideal_violation` refuses the ones
+    that are not normal.
     """
-    out = []
-    for members in subgroups(r.group, normal_only=True):
-        if is_ideal(r, members):
-            out.append(members)
-    return out
+    return [members for members in subgroups(r.group) if is_ideal(r, members)]
 
 
 # -- the regular module -------------------------------------------------------

@@ -103,9 +103,7 @@ def _validate_table(add: Table) -> None:
             for z in range(n):
                 if add[add[x][y]][z] != add[x][add[y][z]]:
                     raise AxiomViolation("associativity", (x, y, z))
-    for x in range(n):
-        if all(add[x][y] != 0 for y in range(n)):
-            raise AxiomViolation("inverses", (x,), f"element {x} has no inverse")
+    # No scan for inverses: each row is a permutation of 0..n-1, so holds 0.
 
 
 def _closure(add: Table, seed: frozenset[int]) -> frozenset[int]:
@@ -182,12 +180,6 @@ def _dihedral(m: int, spec: str, names: tuple[str, ...] | None = None) -> Finite
     return FiniteGroup(m, add, names, spec, gens)
 
 
-def _symmetric3() -> FiniteGroup:
-    # Element ordering 0, a, 2a, b, a+b, 2a+b with a of order 3, b of order 2.
-    g = _dihedral(6, "S3", names=("0", "a", "2a", "b", "a+b", "2a+b"))
-    return g
-
-
 def _quaternion() -> FiniteGroup:
     # 0-based encoding of {1, -1, i, -i, j, -j, k, -k} under quaternion product.
     names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
@@ -236,7 +228,8 @@ def build_group(spec) -> FiniteGroup:
     if not _SPEC_RE.match(s):
         raise InputError(f"unknown group spec {spec!r}")
     if s == "S3":
-        return _symmetric3()
+        # a of order 3, b of order 2
+        return _dihedral(6, "S3", names=("0", "a", "2a", "b", "a+b", "2a+b"))
     if s == "Q8":
         return _quaternion()
     if s.startswith("D"):
@@ -352,9 +345,12 @@ def endomorphisms(g: FiniteGroup, invertible_only: bool = False) -> tuple[tuple[
     return tuple(sorted(iter_endomorphisms(g)))
 
 
-def subgroups(g: FiniteGroup, normal_only: bool = False) -> list[tuple[int, ...]]:
-    """All subgroups (or all normal subgroups) as sorted member tuples,
-    sorted by (size, members)."""
+def subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """All subgroups as sorted member tuples, sorted by (size, members).
+
+    Normality is left to the caller: `core.ideals` tests it as one of the
+    ideal conditions.
+    """
     found = {_closure(g.add, frozenset())}
     frontier = list(found)
     while frontier:
@@ -369,14 +365,7 @@ def subgroups(g: FiniteGroup, normal_only: bool = False) -> list[tuple[int, ...]
                     fresh.append(t)
         frontier = fresh
     sets = sorted(found, key=lambda s: (len(s), sorted(s)))
-    if normal_only:
-        sets = [s for s in sets if _is_normal(g, s)]
     return [tuple(sorted(s)) for s in sets]
-
-
-def _is_normal(g: FiniteGroup, members: frozenset[int]) -> bool:
-    add, neg = g.add, g.neg
-    return all(add[add[h][a]][neg[h]] in members for h in range(g.order) for a in members)
 
 
 def p_component(g: FiniteGroup, p: int) -> tuple[int, ...]:

@@ -182,7 +182,7 @@ def reverify_witness(r, verdict):
         t, a, b = e["t"], e["r"], e["s"]
         assert _fresh_order(add, t) % 2 == 1
         assert mul[add[a][b]][t] != add[mul[a][t]][mul[b][t]]
-    elif law in ("right-distributivity", "odd-order-ring"):
+    elif law == "right-distributivity":
         a, b, t = e["r"], e["s"], e["t"]
         assert mul[add[a][b]][t] != add[mul[a][t]][mul[b][t]]
     elif law == "left-distributivity":

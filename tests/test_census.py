@@ -25,7 +25,7 @@ from nearrings.census import (
     census_suite,
     relabel,
 )
-from nearrings.catalog import catalog_lines
+from nearrings.catalog import write_catalog
 from nearrings.checks import run_suite, summarize_reports
 from nearrings.core import (
     FLAG_TABLE,
@@ -177,6 +177,15 @@ def test_oracle_shares_no_search_code(census_of, monkeypatch):
     assert oracle.representatives == ours.representatives
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"filters": ("abelian",)}, "unknown filter 'abelian'"),
+    ({"worker_count": 0}, "worker_count must be >= 1"),
+])
+def test_search_spec_rejects_bad_fields(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        SearchSpec(build_group("Z2"), **kwargs)
+
+
 def test_oracle_rejects_large_groups():
     with pytest.raises(InputError):
         brute_force_oracle(build_group("Z8"))
@@ -238,13 +247,16 @@ def test_census_worker_determinism(census_of, four_cpus):
 @pytest.mark.parametrize("spec, iso", [
     ("Z1", True), ("Z2", True), ("S3", True), ("Q8", True), ("D8", True),
     ("Z2xZ6", True), ("D8", False)])
-def test_catalog_is_identical_for_any_worker_count(spec, iso, census_of, four_cpus):
+def test_catalog_is_identical_for_any_worker_count(spec, iso, census_of, four_cpus, tmp_path):
     # Z1's root completes its only table; the unreduced D8 census splits
     # every root and has no automorphism triples.
     g = build_group(spec)
-    base = list(catalog_lines(census_of(spec, iso_reduction=iso)))
+    base = tmp_path / "w1.jsonl"
+    write_catalog(base, census_of(spec, iso_reduction=iso))
     for w in (2, 3):
-        assert list(catalog_lines(census(SearchSpec(g, iso_reduction=iso, worker_count=w)))) == base
+        path = tmp_path / f"w{w}.jsonl"
+        write_catalog(path, census(SearchSpec(g, iso_reduction=iso, worker_count=w)))
+        assert path.read_bytes() == base.read_bytes()
 
 
 @pytest.mark.parametrize("spec", ["D8", "Z2xZ6"])
@@ -358,15 +370,23 @@ def test_odd_order_censuses_make_rings(census_of):
         assert seen >= 1, spec
 
 
-@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "Z2xZ4", "Z2xZ6", "Z12"])
-def test_index_space_flags_match_classify_table(spec, census_of):
+INDEX_SPACE_CASES = [(spec, True) for spec in ("S3", "D8", "Q8", "Z2xZ4", "Z2xZ6", "Z12")]
+INDEX_SPACE_CASES += [(spec, False) for spec in ("S3", "Z2xZ2", "Z6")]
+
+
+@pytest.mark.parametrize("spec, iso", INDEX_SPACE_CASES,
+                         ids=[spec if iso else f"{spec}-no-iso" for spec, iso in INDEX_SPACE_CASES])
+def test_index_space_flags_match_classify_table(spec, iso, census_of):
     # The census classifies index tuples with n^2 row-sum lookups. On every
     # class its flags and identity must equal the n^3 image-space scans of
     # the decoded table. Z2xZ6, D8 and Z2xZ4 have classes that are
     # semidistributive but not distributive, so the two laws are told
-    # apart; S3, D8 and Q8 are nonabelian.
+    # apart; S3, D8 and Q8 are nonabelian. The unreduced tables are not
+    # canonical, so the identity, read off the one row that is the
+    # identity map, also meets tables no lex-least class gives: Z2xZ2 has
+    # 24 with an identity and Z6 has 2.
     g = build_group(spec)
-    c = census_of(spec)
+    c = census_of(spec, iso_reduction=iso)
     endos, index, _ = _endo_data(g)
     classifier = _IndexClassifier(g, endos, index)
     for rep, flags in zip(c.representatives, c.rep_flags):

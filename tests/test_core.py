@@ -327,9 +327,11 @@ def test_distributive_instances_ideals_match_ring_reading(census_of):
             if not flags.distributive:
                 continue
             r = validate(CandidateMultiplication(c.group, rep))
+            add, neg = c.group.add, c.group.neg
             ring_style = [
-                s for s in subgroups(c.group, normal_only=True)
-                if all(r.mul[x][a] in set(s) and r.mul[a][x] in set(s)
-                       for x in range(r.order) for a in s)
+                s for s in subgroups(c.group)
+                if all(add[add[h][a]][neg[h]] in s for h in range(r.order) for a in s)
+                and all(r.mul[x][a] in set(s) and r.mul[a][x] in set(s)
+                        for x in range(r.order) for a in s)
             ]
             assert ideals(r) == ring_style

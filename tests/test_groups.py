@@ -77,6 +77,23 @@ def test_raw_table_rejects_non_latin():
     assert err.value.axiom == "latin-square"
 
 
+# Each table fails exactly one group axiom, the first in the scan order
+# rows and columns, neutral 0, associativity. A missing inverse has no
+# case: a row that is a permutation of 0..n-1 always holds 0.
+@pytest.mark.parametrize("add, axiom, witness, detail", [
+    ([[0, 1, 2], [1, 2, 0], [1, 2, 0]], "latin-square", (0,),
+     "column 0 is not a permutation"),
+    ([[1, 0], [0, 1]], "identity", (0,), "element 0 is not neutral"),
+    # A loop of order 5: a Latin square with neutral 0 that is not associative.
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+      [4, 2, 0, 1, 3]], "associativity", (1, 1, 2), ""),
+])
+def test_raw_table_rejects_axiom_failures(add, axiom, witness, detail):
+    with pytest.raises(AxiomViolation) as err:
+        build_group({"order": len(add), "add": add})
+    assert (err.value.axiom, err.value.witness, err.value.detail) == (axiom, witness, detail)
+
+
 def test_raw_table_rejects_bad_shape_and_range():
     with pytest.raises(InputError):
         build_group({"order": 2, "add": [[0, 1]]})
@@ -111,7 +128,7 @@ def test_raw_table_accepts_valid_group():
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_named_families_satisfy_group_axioms(spec):
     g = build_group(spec)
-    _validate_table(g.add)  # latin square, associativity, identity 0, inverses
+    _validate_table(g.add)  # latin square, identity 0, associativity
 
 
 def test_element_orders():
@@ -170,17 +187,22 @@ def test_endomorphisms_match_brute_force_small(spec):
     assert list(endomorphisms(g)) == brute_force_endomorphisms(g)
 
 
+def is_normal(g, members):
+    return all(g.add[g.add[h][a]][g.neg[h]] in members for h in range(g.order) for a in members)
+
+
 def test_subgroups_z6():
     z6 = build_group("Z6")
-    subs = subgroups(z6, normal_only=True)
+    subs = subgroups(z6)
     assert subs == [(0,), (0, 3), (0, 2, 4), (0, 1, 2, 3, 4, 5)]
+    assert all(is_normal(z6, s) for s in subs)  # Z6 is abelian
 
 
 def test_subgroups_s3():
     s3 = build_group("S3")
     allsubs = subgroups(s3)
     assert len(allsubs) == 6  # trivial, <a>, three <reflection>, whole
-    normals = subgroups(s3, normal_only=True)
+    normals = [s for s in allsubs if is_normal(s3, s)]
     assert normals == [(0,), (0, 1, 2), (0, 1, 2, 3, 4, 5)]
 
 
