@@ -19,7 +19,9 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import signal
 import tempfile
+import threading
 
 from . import __version__
 from .census import CensusResult, SearchSpec, census_classes, census_rows
@@ -166,6 +168,26 @@ def _atomic_text(path):
         raise
 
 
+def _raise_exit(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def _sigterm_exits():
+    """Within the block SIGTERM raises SystemExit, with the shell's exit
+    status 128 + SIGTERM, so `_atomic_text` removes its temporary file;
+    the previous handler is restored after it. Only the main thread may
+    set a handler, so elsewhere the block runs with the handler it has."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _raise_exit)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def write_catalog(path, result: CensusResult) -> None:
     """Write the catalog of a census result atomically: each record as it
     is joined, then the trailing summary record."""
@@ -184,10 +206,16 @@ def stream_catalog(path, spec: SearchSpec) -> CensusResult:
     Records are joined from index tuples with one encoded row per
     endomorphism, so the bytes equal write_catalog's of census(spec), and
     no class is held or decoded.
+
+    A one-worker census runs in this process, and SIGTERM ends it as an
+    exception that removes the temporary file. A census with workers
+    keeps the default handler: the pool's exit would wait for every
+    queued path.
     """
     row_text = [_dump(list(row)) for row in census_rows(spec.group)]
     record = _record_joiner(spec.group, row_text)
-    with _atomic_text(path) as fh:
+    exits = _sigterm_exits() if spec.worker_count == 1 else contextlib.nullcontext()
+    with exits, _atomic_text(path) as fh:
         result = census_classes(spec, lambda t, f: fh.write(record(t, f) + "\n"))
         fh.write(_summary_line(result) + "\n")
     return result

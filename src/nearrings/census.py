@@ -7,26 +7,27 @@ phi_(phi_x(y)) = phi_x o phi_y. The search therefore assigns endomorphism
 indices to elements in index order with incremental constraint
 propagation, instead of scanning all n^(n^2) raw tables. The propagation
 fails fast: each forced assignment is checked as soon as it is derived.
-Below the root, a node tries only the rows that pass a bitmask screen
-(`_Screen`): two necessary conditions of the closure law that compare a
-row only with entries assigned before the attempt, decided for all rows
-at once, as the finite model finders SEM and Mace4 filter domains by
-propagation. `close` stays the authority on every row that passes, so
-the search tree, and the attempt count of one per candidate row, are
-those of a loop over every row.
+Every node tries only the rows that pass a bitmask screen (`_Screen`):
+two necessary conditions of the closure law that compare a row only with
+entries assigned before the attempt, decided for all rows at once, as
+the finite model finders SEM and Mace4 filter domains by propagation; at
+the root nothing is assigned, so every row passes. `close` stays the
+authority on every row that passes, so the search tree, and the attempt
+count of one per candidate row, are those of a loop over every row.
 
 A table is a tuple of indices into the endomorphisms sorted by image
 vector, so index tuples sort exactly like the tables they encode. The
 census is orderly (isomorph-free generation in the sense of Read and
-Faradzev): every automorphism theta fixes element 0, so relabeling
-conjugates row 0, and the lex-least table of a class has a row 0 that is
-least in its conjugacy class. Element 0 takes only those rows. Every
-partial table, the root's included, is put to the lex-leader test
-against the automorphisms other than the identity, through one
-conjugation table per automorphism, comparing entries from x = 0 at the
-root and, below it, from the first entry each automorphism has not yet
-found equal: at the root, entry 0 drops the automorphisms that move row
-0, which leaves its stabiliser. Where one already relabels the assigned
+Faradzev): every partial table, the root's included, is put to the
+lex-leader test against the automorphisms other than the identity,
+through one conjugation table per automorphism, comparing entries from
+x = 0 at the root and, below it, from the first entry each automorphism
+has not yet found equal. Element 0 is an ordinary position. Every
+automorphism theta fixes it, so relabeling conjugates row 0: at the
+root, entry 0 cuts each row that some automorphism conjugates to a
+smaller one, and drops the automorphisms that move row 0, which leaves
+its stabiliser; `close` has already rejected each row e with
+e o e != e, since e(0) = 0. Where one already relabels the assigned
 entries to something smaller, the subtree is cut, since every completion
 keeps those entries; an automorphism that relabels them to something
 larger is dropped for the subtree. The test also runs after the
@@ -247,28 +248,27 @@ def _bits(mask):
         mask ^= low
 
 
-def _search(endos, comp, roots, conjs, screen, emit, path=(), split=False):
+def _search(endos, comp, conjs, screen, emit, path=(), split=False):
     """DFS over endomorphism assignments with closure propagation and
     partial lex-leader pruning: calls emit(leaf) on each leaf as it is
     found and returns the attempt count.
 
-    Element 0 takes the rows in `roots`. After every successful
-    assignment, the root's and the one that completes the table included,
-    `_lex_test` checks the partial table against the (theta, conj, x)
-    triples still open on this branch, starting from `conjs` at the root:
-    a subtree is cut where one relabels the assigned entries to something
-    smaller, and a triple decided larger is not passed down. So every leaf
-    has passed the test complete and is least under the automorphisms
-    fixing its row 0. With no triples nothing is cut and the search is the
-    full one.
+    After every successful assignment, the root's and the one that
+    completes the table included, `_lex_test` checks the partial table
+    against the (theta, conj, x) triples still open on this branch,
+    starting from `conjs` at the root: a subtree is cut where one relabels
+    the assigned entries to something smaller, and a triple decided larger
+    is not passed down. So every leaf has passed the test complete and is
+    least under every automorphism. With no triples nothing is cut and the
+    search is the full one.
 
-    Below the root, each node tries only the rows that pass `screen`, in
-    increasing order; the screen drops only rows on which `close` fails,
-    so the tree is the one an unscreened loop over every row would walk.
-    `attempts` is the number of candidate rows summed over the nodes:
-    len(roots) at the root and len(endos) at every other node, whether
-    screened out or tried; forced assignments made by propagation are
-    not counted. A leaf is a complete assignment, as a tuple t of
+    Each node, the root included, tries only the rows that pass `screen`,
+    in increasing order; the screen drops only rows on which `close`
+    fails, so the tree is the one an unscreened loop over every row would
+    walk. `attempts` is the number of candidate rows summed over the
+    nodes: len(endos) at every node, the root included, whether screened
+    out or tried; forced assignments made by propagation are not
+    counted. A leaf is a complete assignment, as a tuple t of
     endomorphism indices (row x of the table is endos[t[x]]), and the
     leaves come in DFS order, which is lex order: siblings first differ
     at the branching position, with e increasing.
@@ -332,9 +332,10 @@ def _search(endos, comp, roots, conjs, screen, emit, path=(), split=False):
         return True
 
     def extend(pos: int, active, allowed: int, since: int):
-        # `allowed` is the parent's (A) mask; done[since:] were assigned
-        # after it was computed. Along `path` the one choice is the path's
-        # row, uncounted; with `split` the search stops at depth 2.
+        # `allowed` is the parent's (A) mask, every row at the root;
+        # done[since:] were assigned after it was computed. Along `path`
+        # the one choice is the path's row, uncounted; with `split` the
+        # search stops at depth 2.
         nonlocal attempts
         while pos < n and assign[pos] is not None:
             pos += 1
@@ -342,16 +343,12 @@ def _search(endos, comp, roots, conjs, screen, emit, path=(), split=False):
         if pos == n or split and depth == 2:
             emit(tuple(branch) if split else tuple(assign))
             return
-        if pos:
-            allowed &= ~screen.broken(assign, done, since)
+        allowed &= ~screen.broken(assign, done, since)
         if depth < len(path):
             choices = (path[depth],)
-        elif pos:
+        else:
             attempts += len(endos)
             choices = _bits(screen.rows(assign, done, pos, allowed))
-        else:
-            attempts += len(roots)
-            choices = roots
         mark = len(done)
         for e in choices:
             if close(pos, e):
@@ -421,22 +418,15 @@ def _conjugation_tables(g: FiniteGroup):
     return out
 
 
-def _roots(g: FiniteGroup, iso_reduction: bool):
-    """Element 0's admissible rows, as a list, and the (theta, conj, 0)
-    triples of the automorphisms other than the identity, as a tuple.
-
-    With reduction a row is admissible when it is least in its conjugacy
-    class, since relabeling conjugates row 0; without it every row is,
-    and there are no triples, so every leaf is kept.
-    """
-    endos = _endo_data(g)[0]
+def _root_triples(g: FiniteGroup, iso_reduction: bool):
+    """The (theta, conj, 0) triples the lex-leader test starts from at the
+    root, one per automorphism other than the identity; without reduction
+    there are none, so every leaf is kept."""
     if not iso_reduction:
-        return list(range(len(endos))), ()
+        return ()
     identity = tuple(range(g.order))
-    conjs = tuple((theta, conj, 0) for theta, conj in _conjugation_tables(g)
-                  if theta != identity)
-    return [e for e in range(len(endos))
-            if all(conj[e] >= e for _, conj, _ in conjs)], conjs
+    return tuple((theta, conj, 0) for theta, conj in _conjugation_tables(g)
+                 if theta != identity)
 
 
 def _lex_test(t, active):
@@ -453,9 +443,9 @@ def _lex_test(t, active):
     smaller. A subtree never unassigns an entry, so the equal prefix only
     grows and each entry of a branch is compared once per automorphism.
     Every theta fixes element 0, so entry 0 compares conj[t[0]] with t[0]:
-    at the root this drops the triples outside t[0]'s stabiliser, and
-    never cuts, since a root is least in its conjugacy class; below it the
-    open triples fix t[0].
+    at the root this cuts each row that some automorphism conjugates to a
+    smaller row, and drops the triples outside t[0]'s stabiliser; below it
+    the open triples fix t[0].
     """
     n = len(t)
     still_open = []
@@ -490,21 +480,21 @@ def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int, e
     the leaves below its path as one list.
     """
     endos, _, comp = _endo_data(g)
-    roots, conjs = _roots(g, iso_reduction)
+    conjs = _root_triples(g, iso_reduction)
     screen = _Screen(endos, comp)
     workers = min(worker_count, os.cpu_count() or 1)
     paths, nodes = [], 0
     if workers > 1:
-        nodes = _search(endos, comp, roots, conjs, screen, paths.append, split=True)
+        nodes = _search(endos, comp, conjs, screen, paths.append, split=True)
     workers = min(workers, len(paths))
     if workers <= 1:
-        return _search(endos, comp, roots, conjs, screen, emit), 1
+        return _search(endos, comp, conjs, screen, emit), 1
     # Imported here, so that a one-worker census never loads the pool.
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     try:
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                 initargs=(endos, comp, roots, conjs)) as pool:
+                                 initargs=(endos, comp, conjs)) as pool:
             for sub, count in pool.map(_search_below, paths):
                 for t in sub:
                     emit(t)
@@ -519,11 +509,11 @@ def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int, e
 _worker_search = None
 
 
-def _start_worker(endos, comp, roots, conjs):
+def _start_worker(endos, comp, conjs):
     """Pool initializer: keep the census data, and one screen that every
     path this worker searches shares."""
     global _worker_search
-    _worker_search = (endos, comp, roots, conjs, _Screen(endos, comp))
+    _worker_search = (endos, comp, conjs, _Screen(endos, comp))
 
 
 def _search_below(path):

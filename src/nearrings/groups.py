@@ -181,32 +181,12 @@ def _dihedral(m: int, spec: str, names: tuple[str, ...] | None = None) -> Finite
 
 
 def _quaternion() -> FiniteGroup:
-    # 0-based encoding of {1, -1, i, -i, j, -j, k, -k} under quaternion product.
+    # Element 2u+s is (-1)^s u over the units (1, i, j, k); T[u][v] is the
+    # element u*v, so signs multiply by xor on the low bit.
     names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    basis = {0: "1", 1: "i", 2: "j", 3: "k"}
-    prod = {}  # (unit, unit) -> (sign, unit) on basis symbols 1,i,j,k
-    for u in range(4):
-        prod[(0, u)] = (1, u)
-        prod[(u, 0)] = (1, u)
-    for u in (1, 2, 3):
-        prod[(u, u)] = (-1, 0)
-    prod[(1, 2)] = (1, 3)
-    prod[(2, 3)] = (1, 1)
-    prod[(3, 1)] = (1, 2)
-    prod[(2, 1)] = (-1, 3)
-    prod[(3, 2)] = (-1, 1)
-    prod[(1, 3)] = (-1, 2)
-
-    def enc(sign: int, u: int) -> int:
-        return 2 * u + (0 if sign == 1 else 1)
-
-    def mulq(x: int, y: int) -> int:
-        sx, ux = (1 if x % 2 == 0 else -1), x // 2
-        sy, uy = (1 if y % 2 == 0 else -1), y // 2
-        s, u = prod[(ux, uy)]
-        return enc(s * sx * sy, u)
-
-    add = tuple(tuple(mulq(x, y) for y in range(8)) for x in range(8))
+    T = ((0, 2, 4, 6), (2, 1, 6, 5), (4, 7, 1, 2), (6, 4, 3, 1))
+    add = tuple(tuple(T[x >> 1][y >> 1] ^ (x & 1) ^ (y & 1) for y in range(8))
+                for x in range(8))
     return FiniteGroup(8, add, names, "Q8", (2, 4))  # generated by i and j
 
 

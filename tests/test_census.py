@@ -16,7 +16,7 @@ from nearrings.census import (
     _conjugation_tables,
     _endo_data,
     _enumerate_classes,
-    _roots,
+    _root_triples,
     _search,
     brute_force_oracle,
     candidate_stream,
@@ -231,8 +231,9 @@ def test_filtered_census_is_the_filtered_full_census(spec, census_of):
 
 
 def test_census_worker_determinism(census_of, four_cpus):
-    # Aut acts nontrivially on End of each of these groups, so roots are
-    # really filtered before they are split over the workers.
+    # Aut acts nontrivially on End of each of these groups, so the lex
+    # test at the root really cuts rows before they are split over the
+    # workers.
     for spec, workers in (("S3", (2, 8)), ("D8", (2, 3)), ("Q8", (2, 3))):
         g = build_group(spec)
         base = census_of(spec)
@@ -277,16 +278,16 @@ def test_split_paths_partition_the_search(spec, iso):
     # levels included. Z1's root completes its table: a path of length 1.
     g = build_group(spec)
     endos, _, comp = _endo_data(g)
-    roots, conjs = _roots(g, iso)
+    conjs = _root_triples(g, iso)
     screen = _Screen(endos, comp)
     paths = []
-    attempts = _search(endos, comp, roots, conjs, screen, paths.append, split=True)
+    attempts = _search(endos, comp, conjs, screen, paths.append, split=True)
     assert paths == sorted(set(paths))
     leaves = []
     for path in paths:
-        attempts += _search(endos, comp, roots, conjs, screen, leaves.append, path=path)
+        attempts += _search(endos, comp, conjs, screen, leaves.append, path=path)
     whole = []
-    assert attempts == _search(endos, comp, roots, conjs, screen, whole.append)
+    assert attempts == _search(endos, comp, conjs, screen, whole.append)
     assert leaves == whole
 
 
@@ -307,7 +308,8 @@ def test_split_shares_out_the_zero_map_root(spec):
     endos, _, comp = _endo_data(g)
     assert endos[0] == (0,) * g.order
     paths = []
-    _search(endos, comp, *_roots(g, True), _Screen(endos, comp), paths.append, split=True)
+    _search(endos, comp, _root_triples(g, True), _Screen(endos, comp), paths.append,
+            split=True)
     assert sum(path[0] == 0 for path in paths) >= 2
 
 
@@ -398,13 +400,13 @@ def test_index_space_flags_match_classify_table(spec, iso, census_of):
 
 def test_d12_golden_counts():
     # Recorded with the image-space classify_table before the census
-    # classified in index space, and nodes_visited after the partial
-    # lex-leader pruning; D12 is the largest search tree in the suite
-    # (about 1.5 s).
+    # classified in index space, and nodes_visited once the root, like
+    # every node, attempted all |End| = 64 rows; D12 is the largest search
+    # tree in the suite (about 1.5 s).
     c = census(SearchSpec(build_group("D12")))
     assert c.counts == {"total": 48137, "with_identity": 1, "zero_symmetric": 46347,
                         "semidistributive": 69, "distributive": 17}
-    assert c.nodes_visited == 1561299
+    assert c.nodes_visited == 1561344
 
 
 # -- index-space search and reduction ---------------------------------------------
@@ -414,14 +416,14 @@ def test_d12_golden_counts():
 # search change updates these. With reduction, every partial table is cut
 # as soon as an automorphism fixing its row 0 relabels its assigned
 # entries to something smaller; this cuts cyclic groups too, since
-# End(Zn) is commutative and every root keeps all of Aut. Without
-# reduction element 0 takes every row with an empty stabiliser, so that
-# tree is the full search. Z2xZ2xZ2 has no unreduced pin: that search
+# End(Zn) is commutative and every root keeps all of Aut. Every node,
+# the root included, counts |End| attempts. Without reduction there is
+# no automorphism to test, so that tree is the full search. Z2xZ2xZ2 has no unreduced pin: that search
 # alone takes longer than the rest of the sweep.
 NODES_VISITED = {
-    "Z1": 1, "Z2": 6, "Z3": 18, "Z4": 52, "Z2xZ2": 374, "Z5": 75, "Z6": 522,
-    "S3": 505, "Z7": 259, "Z8": 1424, "Z2xZ4": 35598, "Z2xZ2xZ2": 458766,
-    "D8": 36014, "Q8": 7791,
+    "Z1": 1, "Z2": 6, "Z3": 18, "Z4": 52, "Z2xZ2": 384, "Z5": 75, "Z6": 522,
+    "S3": 510, "Z7": 259, "Z8": 1424, "Z2xZ4": 35616, "Z2xZ2xZ2": 459264,
+    "D8": 36036, "Q8": 7812,
 }
 NODES_VISITED_NO_ISO = {
     "Z1": 1, "Z2": 6, "Z3": 18, "Z4": 56, "Z2xZ2": 944, "Z5": 105, "Z6": 564,
@@ -500,6 +502,51 @@ def test_screen_admits_every_row_close_accepts(spec, monkeypatch):
         pinned = NODES_VISITED if iso else NODES_VISITED_NO_ISO
         if spec in pinned:
             assert c.nodes_visited == pinned[spec]
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_root_keeps_the_least_idempotent_conjugates(spec, monkeypatch):
+    # Element 0 is an ordinary position: close rejects each row e with
+    # e o e != e, since e(0) = 0, and the lex test at the root cuts each row
+    # that some automorphism conjugates to a smaller one. The rows the root
+    # test sees and passes are pinned in image space, from the automorphisms
+    # of `groups`, sharing nothing with the conjugation tables.
+    module = importlib.import_module("nearrings.census")
+    g = build_group(spec)
+    n = g.order
+    idempotent = {e for e in endomorphisms(g) if tuple(e[v] for v in e) == e}
+    least = set()
+    for e in idempotent:
+        for theta in endomorphisms(g, invertible_only=True):
+            inv = [0] * n
+            for x, v in enumerate(theta):
+                inv[v] = x
+            if tuple(inv[e[theta[x]]] for x in range(n)) < e:
+                break
+        else:
+            least.add(e)
+    endos, _, comp = _endo_data(g)
+    lex_test, seen, passed = module._lex_test, set(), set()
+
+    def recorded_lex_test(t, active):
+        sub = lex_test(t, active)
+        if active is root:
+            seen.add(endos[t[0]])
+            if sub is not None:
+                passed.add(endos[t[0]])
+        return sub
+
+    monkeypatch.setattr(module, "_lex_test", recorded_lex_test)
+    for iso, kept in ((True, least), (False, idempotent)):
+        # The root alone gets the triples object; the split stops two
+        # levels deep, since the unreduced Z2xZ2xZ2 search is too long for
+        # a test.
+        root = _root_triples(g, iso)
+        seen.clear()
+        passed.clear()
+        _search(endos, comp, root, _Screen(endos, comp), lambda path: None, split=True)
+        assert seen == idempotent
+        assert passed == kept
 
 
 def test_census_refuses_oversized_endomorphism_monoid():

@@ -4,8 +4,10 @@ import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -278,6 +280,36 @@ def test_one_worker_commands_never_import_the_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_sigterm_removes_the_catalog_temp_file(tmp_path, capsys):
+    # Z16's one-worker census takes about a minute, so it is still
+    # streaming into its temp file when SIGTERM arrives; it must exit
+    # through SystemExit, with no traceback and no temp file left.
+    src = os.path.dirname(os.path.dirname(nearrings.__file__))
+    script = "import sys\nfrom nearrings.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "census", "Z16", "--out", str(tmp_path / "z16.jsonl")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 30
+        while not list(tmp_path.glob(".catalog-*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 128 + signal.SIGTERM
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob(".catalog-*.tmp"))
+    assert not (tmp_path / "z16.jsonl").exists()
+    # In process, the handler in place before the census is restored.
+    before = signal.getsignal(signal.SIGTERM)
+    assert run_cli(capsys, "census", "Z2", "--out", str(tmp_path / "z2.jsonl"))[0] == 0
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
 def test_catalog_file_mode_follows_umask(tmp_path, capsys):
     # The catalog's temp file is made by mkstemp with mode 0o600; the
     # catalog must get the mode of any new file, 0o666 less the umask.
@@ -350,17 +382,17 @@ def test_catalog_lines_exclude_timing(census_of, tmp_path):
 RAW_Z3 = '{"order": 3, "add": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}'
 CATALOG_SHA256 = {
     "S3": (("S3",),
-           "4f5308586fa1f6f849fcfc7974cc67256267296313bc895305dcc9cbdc3df3fa"),
+           "ab9714dea8b7060bfc822d969cdfbc0d011acf3d01ef6403cd7a36d03094247f"),
     "D8": (("D8",),
-           "8b3d018751d692c61ab8c44bb070f8d1436aaa0fe43165999f96bc6ba982729b"),
+           "318671ff8b985f65398d11461224fbc12b58e9395025aaf0e2341e31f3877541"),
     "Q8": (("Q8",),
-           "31ba949b23df0bcf080c6bf542193a71b07c83ed6031268dc101ec63b099e6c6"),
+           "c0ee50e6229ed640eddfc40e54ad64c43f9456db24538c37763cb9ff40d44c3d"),
     "Z2xZ6": (("Z2xZ6",),
-              "f63aa31ddedf36d832492abaa5e344815d563131234ebbe557884410085aba4b"),
+              "63a7e407032790c2de017027d0560c14b20d8725bc525e78275fa61420235eaf"),
     "raw-Z3": ((RAW_Z3,),
                "8fb27e69eabe32dfe70a39ad2b7fd655ee1e26c8f3e22c8f0d06465e9db33350"),
     "Z2xZ4-identity": (("Z2xZ4", "--filter", "identity"),
-                       "169cd9349b3257059d9e3524dfc678fd4a5b32e7fa71caa0734d47d5e498c927"),
+                       "045fe04c37ca112586c8be0b3666aef0c3c16b78bbdfc998d3d031545d9b3c8c"),
     "D8-no-iso": (("D8", "--no-iso"),
                   "a8697b96569432f5da1c4bf68022119896f55a077ae5ccfea2ad7a0473a6cc70"),
 }
