@@ -207,15 +207,13 @@ def stream_catalog(path, spec: SearchSpec) -> CensusResult:
     endomorphism, so the bytes equal write_catalog's of census(spec), and
     no class is held or decoded.
 
-    A one-worker census runs in this process, and SIGTERM ends it as an
-    exception that removes the temporary file. A census with workers
-    keeps the default handler: the pool's exit would wait for every
-    queued path.
+    SIGTERM ends the census as an exception that removes the temporary
+    file, with any number of workers: the census kills and reaps its
+    forked workers on the way out, and they keep SIGTERM's default action.
     """
     row_text = [_dump(list(row)) for row in census_rows(spec.group)]
     record = _record_joiner(spec.group, row_text)
-    exits = _sigterm_exits() if spec.worker_count == 1 else contextlib.nullcontext()
-    with exits, _atomic_text(path) as fh:
+    with _sigterm_exits(), _atomic_text(path) as fh:
         result = census_classes(spec, lambda t, f: fh.write(record(t, f) + "\n"))
         fh.write(_summary_line(result) + "\n")
     return result

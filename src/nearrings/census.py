@@ -42,14 +42,18 @@ only the search's own state, while `census()` keeps every class as a
 table and `census_suite` as 16-bit indices in one flat array.
 
 A census with several workers splits the tree two levels deep, at the
-root and at the first position it leaves free, and a pool of at most
-as many worker processes as CPUs searches below each surviving path.
-The split and the search below a path are two conditions of the one
-DFS step that also runs the whole search. The paths are in DFS
-order, so the workers' leaves, handed on in path order as each path's
-list returns, are in lex order with no sort, and the zero-map root,
-which holds most of the search, is shared out like any other. The
-process pool is imported only when a census starts one.
+root and at the first position it leaves free, and searches below the
+surviving paths in K processes, K at most the CPU count: the parent
+takes every K-th path and forks K - 1 children for the others, each
+searching its share and writing the leaves down a pipe of its own. The
+split and the search below a path are two conditions of the one DFS
+step that also runs the whole search. The paths are in DFS order and
+the parent reads them in that order, so the leaves, its own and the
+children's, are in lex order with no sort, and the zero-map root, which
+holds most of the search, is shared out like any other. A child that is
+ahead of the parent blocks on its full pipe, so no process holds more
+than a frame of leaves. Where `os.fork` is missing, the census runs in
+one process.
 
 Kept classes are classified as index tuples too: a law of the form
 (a+b)c = ac+bc says row a+b is the pointwise sum of rows a and b, so
@@ -71,11 +75,13 @@ reduces each associative table over the automorphisms by `relabel`.
 from __future__ import annotations
 
 import itertools
+import marshal
 import os
+import signal
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .core import (
     FLAG_TABLE,
@@ -469,57 +475,121 @@ def _lex_test(t, active):
 
 def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int, emit):
     """Call emit on each kept index tuple, in lex order, and return the
-    attempt count and the number of workers used: at most worker_count,
-    the CPU count and the number of paths.
+    attempt count and the number of processes used: at most worker_count,
+    the CPU count and the number of paths, and 1 where `os.fork` is missing.
 
-    With more than one worker the tree is split two levels deep, so the
-    zero-map root, which holds most of the search, is shared out too. Each
-    worker gets the census data once, and the paths go through the ordered
-    pool.map: their leaves, handed on path by path as they come, are the
-    DFS order of the whole search, which is lex order. A worker returns
-    the leaves below its path as one list.
+    With K > 1 processes the tree is split two levels deep, so the
+    zero-map root, which holds most of the search, is shared out too. The
+    parent searches path i itself when i % K == 0, and forks K - 1
+    children, child k searching paths[k::K] with the census data it
+    inherits. The parent walks the paths in order, searching its own and
+    reading each child's frames (`_worker`) for the others, so the leaves
+    come in the DFS order of the whole search, which is lex order. Every
+    child is reaped before this returns or raises, and any still running
+    is killed first; a child that ends early or exits with a nonzero
+    status fails the census.
     """
     endos, _, comp = _endo_data(g)
-    conjs = _root_triples(g, iso_reduction)
-    screen = _Screen(endos, comp)
-    workers = min(worker_count, os.cpu_count() or 1)
+    search = partial(_search, endos, comp, _root_triples(g, iso_reduction),
+                     _Screen(endos, comp))
+    workers = min(worker_count, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     paths, nodes = [], 0
     if workers > 1:
-        nodes = _search(endos, comp, conjs, screen, paths.append, split=True)
+        nodes = search(paths.append, split=True)
     workers = min(workers, len(paths))
     if workers <= 1:
-        return _search(endos, comp, conjs, screen, emit), 1
-    # Imported here, so that a one-worker census never loads the pool.
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+        return search(emit), 1
+    died = f"a census worker process died ({workers} workers)"
+    pids, readers = [], []
     try:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                 initargs=(endos, comp, conjs)) as pool:
-            for sub, count in pool.map(_search_below, paths):
-                for t in sub:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            # The parent closes its copy of the write end at once; the
+            # child never leaves the block but through os._exit.
+            with open(w, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                        for reader in readers:
+                            reader.close()
+                        _worker(search, paths[k::workers], out)
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        for i, path in enumerate(paths):
+            if i % workers == 0:
+                nodes += search(emit, path=path)
+                continue
+            reader = readers[i % workers - 1]
+            while type(frame := _read_frame(reader)) is list:
+                for t in frame:
                     emit(t)
-                nodes += count
-    except BrokenProcessPool as exc:
-        raise NearringError(
-            f"a census worker process died (pool of {workers} workers): {exc}") from exc
+            nodes += frame
+        while pids:
+            # Popped once reaped, so that `finally` reaps the rest.
+            status = os.waitpid(pids[-1], 0)[1]
+            pids.pop()
+            if status:
+                raise NearringError(
+                    f"{died}: exit status {os.waitstatus_to_exitcode(status)}")
+    except EOFError as exc:
+        raise NearringError(f"{died}: {exc}") from exc
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
     return nodes, workers
 
 
-# A pool worker's census data and screen, set once by `_start_worker`.
-_worker_search = None
+# Leaves per frame a forked worker writes: with the pipe's buffer, the
+# most it runs ahead of the parent.
+_FRAME_LEAVES = 4096
 
 
-def _start_worker(endos, comp, conjs):
-    """Pool initializer: keep the census data, and one screen that every
-    path this worker searches shares."""
-    global _worker_search
-    _worker_search = (endos, comp, conjs, _Screen(endos, comp))
+def _worker(search, paths, out):
+    """A forked census worker: search below each path in turn and write to
+    out its leaves, as marshal frames of at most _FRAME_LEAVES leaves, and
+    then the path's attempt count, flushed so the parent can read on."""
+    frame = []
+
+    def leaf(t):
+        frame.append(t)
+        if len(frame) == _FRAME_LEAVES:
+            _write_frame(out, frame)
+            frame.clear()
+
+    for path in paths:
+        count = search(leaf, path=path)
+        if frame:
+            _write_frame(out, frame)
+            frame.clear()
+        _write_frame(out, count)
+        out.flush()
 
 
-def _search_below(path):
-    """Pool task: the leaves and attempts below one path of the split."""
-    found = []
-    return found, _search(*_worker_search, found.append, path=path)
+def _write_frame(out, obj):
+    """One frame: the length of obj's marshal bytes, then the bytes."""
+    data = marshal.dumps(obj)
+    out.write(len(data).to_bytes(4, "little"))
+    out.write(data)
+
+
+def _read_frame(reader):
+    """The next frame of a worker's pipe, a list of leaves or an attempt
+    count; EOFError if the pipe ends first. Each frame is read whole and
+    then decoded, since marshal.load on a file reads it object by object."""
+    head = reader.read(4)
+    size = int.from_bytes(head, "little")
+    data = reader.read(size)
+    if len(head) < 4 or len(data) < size:
+        raise EOFError("its pipe ended before its last path")
+    return marshal.loads(data)
 
 
 class _RowLaw(dict):
@@ -723,8 +793,8 @@ def census_suite(spec: SearchSpec):
     validate calls (a tested invariant). The identity is looked up only
     where the flags have one.
     """
-    # Imported here, as the process pool is: `array` is a shared library,
-    # and a census that runs no suite need not load it.
+    # Imported here: `array` is a shared library, and a census that runs
+    # no suite need not load it.
     from array import array
     kept, flags = array("H"), []
 

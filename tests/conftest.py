@@ -31,7 +31,7 @@ def census_of():
 
 @pytest.fixture
 def four_cpus(monkeypatch):
-    """The census caps its pool at os.cpu_count(), which it reads from the
-    os module; report four CPUs so that worker tests start real pools on
-    any host."""
+    """The census caps its processes at os.cpu_count(), which it reads
+    from the os module; report four CPUs so that worker tests fork real
+    workers on any host."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)

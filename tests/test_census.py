@@ -22,6 +22,7 @@ from nearrings.census import (
     candidate_stream,
     canonicalize,
     census,
+    census_classes,
     census_suite,
     relabel,
 )
@@ -292,7 +293,7 @@ def test_split_paths_partition_the_search(spec, iso):
 
 
 def test_pool_is_capped_at_the_cpu_count(monkeypatch):
-    # The census module reads os.cpu_count when it sizes the pool.
+    # The census module reads os.cpu_count when it counts its processes.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     g = build_group("D8")
     kept, alone = [], []
@@ -300,6 +301,36 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch):
     assert workers == 2
     _enumerate_classes(g, True, 1, alone.append)
     assert kept == alone
+
+
+def test_census_without_fork_runs_in_one_process(census_of, monkeypatch, four_cpus, tmp_path):
+    # Where os.fork is missing the census forks no worker and reports one.
+    monkeypatch.delattr(os, "fork")
+    c = census(SearchSpec(build_group("D8"), worker_count=2))
+    assert c.workers == 1
+    write_catalog(tmp_path / "w1.jsonl", census_of("D8"))
+    write_catalog(tmp_path / "w2.jsonl", c)
+    assert (tmp_path / "w2.jsonl").read_bytes() == (tmp_path / "w1.jsonl").read_bytes()
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_consumer_error_with_workers_propagates_and_reaps_them(four_cpus):
+    # The consumer raises while forked workers are still searching: the
+    # error reaches the caller, and every worker is killed and reaped.
+    seen = []
+
+    def emit(t, f):
+        seen.append(t)
+        if len(seen) == 100:
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        census_classes(SearchSpec(build_group("Z2xZ6"), worker_count=2), emit)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("spec", ["D8", "Z2xZ6"])

@@ -246,12 +246,19 @@ def _die(*args):
     os._exit(1)
 
 
+def _assert_no_child_left():
+    # Every forked census worker has been reaped: none is left running or
+    # as a zombie.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_cmd_census_dead_worker_exits_2(tmp_path, capsys, monkeypatch, four_cpus):
-    # Workers are forked, so they inherit the patched task and die at once.
-    # Only pool workers run the task: the parent splits the tree with the
-    # search itself. `nearrings.census` as an attribute is the function,
-    # not the module.
-    monkeypatch.setattr(importlib.import_module("nearrings.census"), "_search_below", _die)
+    # Workers are forked, so they inherit the patched entry function and
+    # die at once. Only forked workers run it: the parent splits the tree
+    # and searches its own share with the search itself. `nearrings.census`
+    # as an attribute is the function, not the module.
+    monkeypatch.setattr(importlib.import_module("nearrings.census"), "_worker", _die)
     out_path = tmp_path / "s3.jsonl"
     code, _, err = run_cli(capsys, "census", "S3", "--workers", "2", "--out", str(out_path))
     assert code == 2
@@ -261,38 +268,79 @@ def test_cmd_census_dead_worker_exits_2(tmp_path, capsys, monkeypatch, four_cpus
     # failed census leaves neither it nor the catalog behind.
     assert not out_path.exists()
     assert not list(tmp_path.glob(".catalog-*.tmp"))
+    _assert_no_child_left()
+
+
+def test_cmd_census_worker_failing_after_its_frames_exits_2(tmp_path, capsys, monkeypatch,
+                                                            four_cpus):
+    # The worker writes every frame of its paths, so the merge completes;
+    # its nonzero exit status must still fail the census.
+    module = importlib.import_module("nearrings.census")
+    work = module._worker
+
+    def work_then_fail(*args):
+        work(*args)
+        os._exit(3)
+
+    monkeypatch.setattr(module, "_worker", work_then_fail)
+    out_path = tmp_path / "d8.jsonl"
+    code, _, err = run_cli(capsys, "census", "D8", "--workers", "2", "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "2 workers" in err and "exit status 3" in err
+    assert not out_path.exists()
+    assert not list(tmp_path.glob(".catalog-*.tmp"))
+    _assert_no_child_left()
 
 
 def test_one_worker_commands_never_import_the_pool(tmp_path):
     # A fresh interpreter, since the test runner may load concurrent.futures
-    # itself. Only a census that starts a pool imports it.
+    # itself. No command imports a process pool, not even a census with
+    # workers, which forks them directly: two such censuses back to back
+    # leave no thread behind, and with DeprecationWarning an error, a fork
+    # from a multi-threaded process (warned of from Python 3.12) fails.
     src = os.path.dirname(os.path.dirname(nearrings.__file__))
     script = (
-        "import sys\n"
+        "import contextlib, io, json, os, sys, threading\n"
         "from nearrings.cli import main\n"
         "assert main(['census', 'S3', '--out', sys.argv[1]]) == 0\n"
         "assert main(['lemmas', '--census', 'Z3']) == 0\n"
-        "assert 'concurrent.futures' not in sys.modules\n"
+        "os.cpu_count = lambda: 4\n"
+        "for g in ('D8', 'Z2xZ6'):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(['census', g, '--workers', '2', '--format', 'json',\n"
+        "                     '--out', sys.argv[1]]) == 0\n"
+        "    assert json.loads(out.getvalue())['meta']['workers'] == 2\n"
+        "for name in ('concurrent.futures', 'multiprocessing', 'pickle'):\n"
+        "    assert name not in sys.modules, name\n"
+        "assert threading.active_count() == 1\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s3.jsonl")],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", script,
+         str(tmp_path / "out.jsonl")],
+        env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_sigterm_removes_the_catalog_temp_file(tmp_path, capsys):
-    # Z16's one-worker census takes about a minute, so it is still
-    # streaming into its temp file when SIGTERM arrives; it must exit
-    # through SystemExit, with no traceback and no temp file left.
+def _terminate_census(tmp_path, *options):
+    """Start `nearrings census Z16` in a session of its own, send it SIGTERM
+    once it has written to its temp file, and return its exit status,
+    stderr and session id."""
     src = os.path.dirname(os.path.dirname(nearrings.__file__))
-    script = "import sys\nfrom nearrings.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    # Two CPUs, so that `--workers 2` forks a worker on any host.
+    script = ("import os, sys\nos.cpu_count = lambda: 2\n"
+              "from nearrings.cli import main\nsys.exit(main(sys.argv[1:]))\n")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen(
-        [sys.executable, "-c", script, "census", "Z16", "--out", str(tmp_path / "z16.jsonl")],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        [sys.executable, "-c", script, "census", "Z16", *options,
+         "--out", str(tmp_path / "z16.jsonl")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
     try:
         deadline = time.monotonic() + 30
-        while not list(tmp_path.glob(".catalog-*.tmp")):
+        while not any(p.stat().st_size for p in tmp_path.glob(".catalog-*.tmp")):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.05)
         proc.send_signal(signal.SIGTERM)
@@ -300,10 +348,22 @@ def test_sigterm_removes_the_catalog_temp_file(tmp_path, capsys):
     finally:
         proc.kill()
         proc.wait()
-    assert proc.returncode == 128 + signal.SIGTERM
-    assert "Traceback" not in err
-    assert not list(tmp_path.glob(".catalog-*.tmp"))
-    assert not (tmp_path / "z16.jsonl").exists()
+    return proc.returncode, err, proc.pid
+
+
+def test_sigterm_removes_the_catalog_temp_file(tmp_path, capsys):
+    # Z16's census takes about a minute, so it is still streaming into
+    # its temp file when SIGTERM arrives; it must exit through SystemExit,
+    # with no traceback and no temp file left. With workers, the census
+    # also kills and reaps them: no process is left in its session.
+    for options in ((), ("--workers", "2")):
+        code, err, pgid = _terminate_census(tmp_path, *options)
+        assert code == 128 + signal.SIGTERM, options
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob(".catalog-*.tmp"))
+        assert not (tmp_path / "z16.jsonl").exists()
+        with pytest.raises(ProcessLookupError):
+            os.killpg(pgid, 0)
     # In process, the handler in place before the census is restored.
     before = signal.getsignal(signal.SIGTERM)
     assert run_cli(capsys, "census", "Z2", "--out", str(tmp_path / "z2.jsonl"))[0] == 0
