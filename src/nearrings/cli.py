@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / every applicable check holds; 1 = a verified
 counterexample to a check (or an oracle/census mismatch); 2 = input or
-usage error. No other codes are produced.
+usage error; 130 = interrupted by SIGINT (Ctrl-C) and 143 = ended by
+SIGTERM, with no temporary catalog file left. No other codes are produced.
 """
 
 from __future__ import annotations
@@ -268,6 +269,8 @@ def main(argv=None) -> int:
     except (NearringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

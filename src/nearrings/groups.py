@@ -44,15 +44,9 @@ class FiniteGroup:
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
-        """Additive order of each element."""
-        out = []
-        for x in range(self.order):
-            acc, k = x, 1
-            while acc != 0:
-                acc = self.add[acc][x]
-                k += 1
-            out.append(k)
-        return tuple(out)
+        """Additive order of each element: the size of the cyclic subgroup
+        it generates."""
+        return tuple(len(_closure(self.add, (x,))) for x in range(self.order))
 
     @cached_property
     def abelian(self) -> bool:
@@ -106,18 +100,41 @@ def _validate_table(add: Table) -> None:
     # No scan for inverses: each row is a permutation of 0..n-1, so holds 0.
 
 
-def _closure(add: Table, seed: frozenset[int]) -> frozenset[int]:
-    """Closure of a subset under addition (inverses follow at finite order)."""
-    members = set(seed) | {0}
-    frontier = list(members)
-    while frontier:
-        x = frontier.pop()
-        for y in list(members):
-            for z in (add[x][y], add[y][x]):
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
-    return frozenset(members)
+def _walk(add: Table, gens, images) -> dict[int, int] | None:
+    """The map f with f(0) = 0 and f(x + s) = f(x) + u for each generator s
+    of gens and its image u in images, as a dict over the elements that
+    gens reach; None as soon as two paths reach one element with
+    different images.
+
+    The walk goes breadth-first from 0 along the edges x -> x + s. Once it
+    ends, every edge (x, s) has been checked, so f(x + s) = f(x) + f(s) for
+    each element x reached and each generator s, the edge (0, s) giving
+    f(s) = u. In a finite group every element of the subgroup that gens
+    generate is a sum of generators, and by induction on the number of
+    summands of y, f(x + y) = f(x) + f(y): a completed walk is a
+    homomorphism from that subgroup, with nothing left to scan.
+    """
+    f = {0: 0}
+    pairs = tuple(zip(gens, images))
+    frontier = [0]
+    for x in frontier:
+        row, image_row = add[x], add[f[x]]
+        for s, u in pairs:
+            y, v = row[s], image_row[u]
+            if y not in f:
+                f[y] = v
+                frontier.append(y)
+            elif f[y] != v:
+                return None
+    return f
+
+
+def _closure(add: Table, seed) -> frozenset[int]:
+    """The subgroup generated by seed: the elements a walk with seed as both
+    its generators and their images reaches (inverses follow at finite
+    order)."""
+    seed = tuple(seed)
+    return frozenset(_walk(add, seed, seed))
 
 
 def _greedy_generators(add: Table) -> tuple[int, ...]:
@@ -275,45 +292,19 @@ def iter_endomorphisms(g: FiniteGroup):
     """Every additive endomorphism of g as an image vector, generated lazily
     and unsorted, so a caller can stop after as many as it will accept.
 
-    Images are assigned on the stored generating set and each partial
-    assignment is closed under the addition law, so the work is bounded by
-    |G|^(#generators) roots instead of the |G|^|G| raw function space.
+    Each tuple of images for the stored generating set, each image of an
+    order dividing its generator's, is walked (`_walk`), and every walk
+    that ends without a conflict is a homomorphism, so the work is bounded
+    by |G|^(#generators) walks instead of the |G|^|G| raw function space.
     Distinct generator images give distinct maps, so nothing repeats.
     """
-    n = g.order
-    add = g.add
-    gens = g.generators
-
-    def close(mapping: dict[int, int], x0: int, u0: int) -> dict[int, int] | None:
-        out = dict(mapping)
-        stack = [(x0, u0)]
-        while stack:
-            y, v = stack.pop()
-            cur = out.get(y)
-            if cur is not None:
-                if cur != v:
-                    return None
-                continue
-            out[y] = v
-            for z, w in list(out.items()):
-                stack.append((add[y][z], add[v][w]))
-                stack.append((add[z][y], add[w][v]))
-        return out
-
-    def extend(k: int, mapping: dict[int, int]):
-        if k == len(gens):
-            assert len(mapping) == n, "generating set does not generate"
-            yield tuple(mapping[x] for x in range(n))
-            return
-        x = gens[k]
-        for u in range(n):
-            if g.orders[x] % g.orders[u] != 0:
-                continue  # image order must divide generator order
-            nxt = close(mapping, x, u)
-            if nxt is not None:
-                yield from extend(k + 1, nxt)
-
-    return extend(0, {0: 0})
+    n, gens, orders = g.order, g.generators, g.orders
+    choices = [[u for u in range(n) if orders[s] % orders[u] == 0] for s in gens]
+    for images in itertools.product(*choices):
+        f = _walk(g.add, gens, images)
+        if f is not None:
+            assert len(f) == n, "generating set does not generate"
+            yield tuple(f[x] for x in range(n))
 
 
 @lru_cache(maxsize=None)

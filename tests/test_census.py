@@ -171,7 +171,8 @@ def test_oracle_shares_no_search_code(census_of, monkeypatch):
                          (census_module, "endomorphisms"),
                          (census_module, "iter_endomorphisms"),
                          (groups_module, "endomorphisms"),
-                         (groups_module, "iter_endomorphisms")]:
+                         (groups_module, "iter_endomorphisms"),
+                         (groups_module, "_walk")]:
         monkeypatch.setattr(module, name, _forbidden)
     oracle = brute_force_oracle(build_group("Z2xZ2"))
     assert oracle.counts == ours.counts

@@ -324,13 +324,17 @@ def test_one_worker_commands_never_import_the_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def _terminate_census(tmp_path, *options):
-    """Start `nearrings census Z16` in a session of its own, send it SIGTERM
+def _terminate_census(tmp_path, signum, *options):
+    """Start `nearrings census Z16` in a session of its own, send it signum
     once it has written to its temp file, and return its exit status,
-    stderr and session id."""
+    stderr and session id. With workers the signal goes to the whole
+    process group, as a terminal sends Ctrl-C."""
     src = os.path.dirname(os.path.dirname(nearrings.__file__))
-    # Two CPUs, so that `--workers 2` forks a worker on any host.
-    script = ("import os, sys\nos.cpu_count = lambda: 2\n"
+    # Two CPUs, so that `--workers 2` forks a worker on any host; SIGINT
+    # raises KeyboardInterrupt even where it was inherited ignored.
+    script = ("import os, signal, sys\n"
+              "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+              "os.cpu_count = lambda: 2\n"
               "from nearrings.cli import main\nsys.exit(main(sys.argv[1:]))\n")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen(
@@ -343,7 +347,10 @@ def _terminate_census(tmp_path, *options):
         while not any(p.stat().st_size for p in tmp_path.glob(".catalog-*.tmp")):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.05)
-        proc.send_signal(signal.SIGTERM)
+        if options:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
         _, err = proc.communicate(timeout=10)
     finally:
         proc.kill()
@@ -353,17 +360,20 @@ def _terminate_census(tmp_path, *options):
 
 def test_sigterm_removes_the_catalog_temp_file(tmp_path, capsys):
     # Z16's census takes about a minute, so it is still streaming into
-    # its temp file when SIGTERM arrives; it must exit through SystemExit,
-    # with no traceback and no temp file left. With workers, the census
-    # also kills and reaps them: no process is left in its session.
-    for options in ((), ("--workers", "2")):
-        code, err, pgid = _terminate_census(tmp_path, *options)
-        assert code == 128 + signal.SIGTERM, options
-        assert "Traceback" not in err
-        assert not list(tmp_path.glob(".catalog-*.tmp"))
-        assert not (tmp_path / "z16.jsonl").exists()
-        with pytest.raises(ProcessLookupError):
-            os.killpg(pgid, 0)
+    # its temp file when the signal arrives; it must exit with the shell's
+    # status for the signal, 143 for SIGTERM (through SystemExit) and 130
+    # for SIGINT (through KeyboardInterrupt), with no traceback and no temp
+    # file left. With workers, the census also kills and reaps them: no
+    # process is left in its session.
+    for signum, status in ((signal.SIGTERM, 143), (signal.SIGINT, 130)):
+        for options in ((), ("--workers", "2")):
+            code, err, pgid = _terminate_census(tmp_path, signum, *options)
+            assert code == status, (signum, options)
+            assert "Traceback" not in err
+            assert not list(tmp_path.glob(".catalog-*.tmp"))
+            assert not (tmp_path / "z16.jsonl").exists()
+            with pytest.raises(ProcessLookupError):
+                os.killpg(pgid, 0)
     # In process, the handler in place before the census is restored.
     before = signal.getsignal(signal.SIGTERM)
     assert run_cli(capsys, "census", "Z2", "--out", str(tmp_path / "z2.jsonl"))[0] == 0

@@ -1,5 +1,6 @@
 import itertools
-from math import prod
+import random
+from math import gcd, prod
 
 import pytest
 
@@ -175,10 +176,79 @@ def test_endomorphism_monoid_closure(spec):
         assert inverse in autos
 
 
-@pytest.mark.parametrize("spec,count", [("Z2xZ2", 16), ("Z4", 4), ("Q8", 28), ("D8", 36)])
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def end_count(spec):
+    """|End(G)| in closed form: prod of gcd(a_i, a_j) over every ordered
+    pair of cyclic factors of Z_a1 x ... x Z_ar; k^2 + 1 for D_2k with k
+    odd and (k + 2)^2 with k even; 28 for Q8."""
+    if spec == "Q8":
+        return 28
+    if spec == "S3" or spec.startswith("D"):
+        k = 3 if spec == "S3" else int(spec[1:]) // 2
+        return k * k + 1 if k % 2 else (k + 2) ** 2
+    factors = [int(f[1:]) for f in spec.split("x")]
+    return prod(gcd(a, b) for a in factors for b in factors)
+
+
+def subgroup_count(spec):
+    """The number of subgroups: tau(n) for Z_n and tau(k) + sigma(k) for
+    D_2k (S3 = D6); the other groups are pinned."""
+    pinned = {"Z2xZ2": 5, "Z2xZ3": 4, "Z2xZ4": 8, "Z3xZ3": 6, "Z2xZ2xZ2": 16,
+              "Z2xZ2xZ4": 27, "Z4xZ4": 15, "Q8": 6}
+    if spec in pinned:
+        return pinned[spec]
+    if spec == "S3" or spec.startswith("D"):
+        k = 3 if spec == "S3" else int(spec[1:]) // 2
+        return len(divisors(k)) + sum(divisors(k))
+    return len(divisors(int(spec[1:])))
+
+
+@pytest.mark.parametrize("spec,count", [(spec, end_count(spec)) for spec in ALL_SPECS])
 def test_endomorphism_counts_small(spec, count):
-    # Counts cross-checked against the n^n scan below for orders <= 4.
+    # Closed forms, independent of the enumerator; the n^n scan below
+    # cross-checks the maps themselves for orders <= 4.
     assert len(endomorphisms(build_group(spec))) == count
+
+
+@pytest.mark.parametrize("spec,count", [(spec, subgroup_count(spec)) for spec in ALL_SPECS])
+def test_subgroup_counts(spec, count):
+    assert len(subgroups(build_group(spec))) == count
+
+
+def relabelled(g, seed):
+    """g as a raw table under a seeded relabelling that keeps 0, and the
+    relabelling, named index -> raw index."""
+    rng = random.Random(seed)
+    perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+    add = [[0] * g.order for _ in range(g.order)]
+    for x in range(g.order):
+        for y in range(g.order):
+            add[perm[x]][perm[y]] = perm[g.add[x][y]]
+    return build_group({"order": g.order, "add": add}), perm
+
+
+# Seeds whose relabelling gives the raw table at least 3 greedy
+# generators (4 for Z2xZ2xZ4 and Z4xZ4 with seed 3), where the named
+# Z4xZ4, D16 and Q8 have 2, so the enumerator walks longer image tuples
+# than on the named group.
+@pytest.mark.parametrize("spec,seed", [
+    ("Z2xZ2xZ4", 0), ("Z2xZ2xZ4", 3), ("Z4xZ4", 3), ("Z4xZ4", 4),
+    ("D16", 1), ("D16", 3), ("Q8", 14), ("Q8", 28),
+])
+def test_endomorphisms_of_relabelled_raw_tables(spec, seed):
+    g = build_group(spec)
+    raw, perm = relabelled(g, seed)
+    assert len(raw.generators) >= 3
+    conjugates = []
+    for f in endomorphisms(g):
+        image = [0] * g.order
+        for x in range(g.order):
+            image[perm[x]] = perm[f[x]]
+        conjugates.append(tuple(image))
+    assert list(endomorphisms(raw)) == sorted(conjugates)
 
 
 @pytest.mark.parametrize("spec", ["Z1", "Z2", "Z3", "Z4", "Z2xZ2"])
