@@ -24,12 +24,11 @@ import tempfile
 import threading
 
 from . import __version__
-from .census import CensusResult, SearchSpec, census_classes, census_rows
-from .checks import CheckVerdict, SuiteReport, summarize_reports
+from .census import CensusResult, SearchSpec, _Memo, census_classes, census_rows
+from .checks import SuiteReport, summarize_reports
 from .core import (
     CandidateMultiplication,
     Nearring,
-    PropertyFlags,
     build_unchecked,
     validate,
 )
@@ -97,26 +96,13 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-class _Encoded(dict):
-    """key -> JSON text of to_json(key), encoded on first lookup only."""
-
-    def __init__(self, to_json, encode=_dump):
-        super().__init__()
-        self.to_json = to_json
-        self.encode = encode
-
-    def __missing__(self, key):
-        text = self[key] = self.encode(self.to_json(key))
-        return text
-
-
 def _record_joiner(group: FiniteGroup, row_text):
     """record(rows, flags): one catalog record, joined in sorted-key order
     from the once-encoded flag set, group spec and rows, so it equals
     _dump of the record's dict. row_text[key] is the JSON text of the row
     that key stands for."""
     spec = _dump(group_spec_json(group))
-    flag_text = _Encoded(PropertyFlags.as_dict)
+    flag_text = _Memo(lambda flags: _dump(flags.as_dict()))
     row = row_text.__getitem__
 
     def record(rows, flags) -> str:
@@ -191,7 +177,7 @@ def _sigterm_exits():
 def write_catalog(path, result: CensusResult) -> None:
     """Write the catalog of a census result atomically: each record as it
     is joined, then the trailing summary record."""
-    record = _record_joiner(result.group, _Encoded(list))
+    record = _record_joiner(result.group, _Memo(lambda row: _dump(list(row))))
     with _atomic_text(path) as fh:
         for rep, f in zip(result.representatives, result.rep_flags):
             fh.write(record(rep, f) + "\n")
@@ -238,7 +224,7 @@ def write_census_reports(out, reports) -> dict:
     encoded once; a verdict with a witness is encoded on its own. The
     text equals json.dumps(..., sort_keys=True) of the whole document.
     """
-    shared = _Encoded(CheckVerdict.as_dict, _encode)
+    shared = _Memo(lambda verdict: _encode(verdict.as_dict()))
 
     def written():
         for i, rep in enumerate(reports):

@@ -43,17 +43,17 @@ table and `census_suite` as 16-bit indices in one flat array.
 
 A census with several workers splits the tree two levels deep, at the
 root and at the first position it leaves free, and searches below the
-surviving paths in K processes, K at most the CPU count: the parent
-takes every K-th path and forks K - 1 children for the others, each
-searching its share and writing the leaves down a pipe of its own. The
-split and the search below a path are two conditions of the one DFS
-step that also runs the whole search. The paths are in DFS order and
-the parent reads them in that order, so the leaves, its own and the
-children's, are in lex order with no sort, and the zero-map root, which
-holds most of the search, is shared out like any other. A child that is
-ahead of the parent blocks on its full pipe, so no process holds more
-than a frame of leaves. Where `os.fork` is missing, the census runs in
-one process.
+surviving paths in K processes, K at most the CPUs this process may
+run on: the parent takes every K-th path and forks K - 1 children for
+the others, each searching its share and writing the leaves down a pipe
+of its own. The split and the search below a path are two conditions of
+the one DFS step that also runs the whole search. The paths are in DFS
+order and the parent reads them in that order, so the leaves, its own
+and the children's, are in lex order with no sort, and the zero-map
+root, which holds most of the search, is shared out like any other. A
+child that is ahead of the parent blocks on its full pipe, so no process
+holds more than a frame of leaves. Where `os.fork` is missing, the
+census runs in one process.
 
 Kept classes are classified as index tuples too: a law of the form
 (a+b)c = ac+bc says row a+b is the pointwise sum of rows a and b, so
@@ -167,6 +167,29 @@ def _decode(endos, t) -> Table:
     return tuple(map(endos.__getitem__, t))
 
 
+class _Memo(dict):
+    """key -> fn(key), computed and stored on the first lookup of key, so
+    every later lookup is a plain dict hit. One memo table serves the
+    screen's composition masks, the row laws of the classifier and the
+    encoded fragments of `catalog`."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _masks(values):
+    """{c: mask of the rows e with values[e] = c}, over values in row order."""
+    masks: dict[int, int] = {}
+    for e, c in enumerate(values):
+        masks[c] = masks.get(c, 0) | (1 << e)
+    return masks
+
+
 class _Screen:
     """Bitmask pre-screen of a DFS node's candidate rows.
 
@@ -196,8 +219,8 @@ class _Screen:
             bit = 1 << e
             for z, w in enumerate(img):
                 self.at[z][w] |= bit
-        self.right = _CompositionMasks(lambda h: (row[h] for row in comp))
-        self.left = _CompositionMasks(comp.__getitem__)
+        self.right = _Memo(lambda h: _masks(row[h] for row in comp))
+        self.left = _Memo(lambda h: _masks(comp[h]))
 
     def broken(self, assign, done, since):
         """The rows that (A) drops on the pairs (z, w) of assigned
@@ -227,31 +250,6 @@ class _Screen:
                 if not mask:
                     break
         return mask
-
-
-class _CompositionMasks(dict):
-    """Row h -> {c: mask of the rows e whose composite with h is c}, where
-    values(h) lists the composite index for each e in order; each entry
-    is computed on first use."""
-
-    def __init__(self, values):
-        super().__init__()
-        self.values = values
-
-    def __missing__(self, h):
-        masks: dict[int, int] = {}
-        for e, c in enumerate(self.values(h)):
-            masks[c] = masks.get(c, 0) | (1 << e)
-        self[h] = masks
-        return masks
-
-
-def _bits(mask):
-    """The set bits of mask, from low to high."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _search(endos, comp, conjs, screen, emit, path=(), split=False):
@@ -338,10 +336,15 @@ def _search(endos, comp, conjs, screen, emit, path=(), split=False):
         return True
 
     def extend(pos: int, active, allowed: int, since: int):
-        # `allowed` is the parent's (A) mask, every row at the root;
-        # done[since:] were assigned after it was computed. Along `path`
-        # the one choice is the path's row, uncounted; with `split` the
-        # search stops at depth 2.
+        """Branch at the first free position from pos on, or emit the leaf.
+
+        `allowed` is the parent's (A) mask, every row at the root;
+        done[since:] were assigned after it was computed. One bit loop
+        tries the rows of the candidate mask from the lowest, each taken
+        off as mask & -mask: the screened rows, counted as len(endos)
+        attempts, or, along `path`, the one bit 1 << path[depth],
+        uncounted. With `split` the search stops at depth 2.
+        """
         nonlocal attempts
         while pos < n and assign[pos] is not None:
             pos += 1
@@ -351,12 +354,15 @@ def _search(endos, comp, conjs, screen, emit, path=(), split=False):
             return
         allowed &= ~screen.broken(assign, done, since)
         if depth < len(path):
-            choices = (path[depth],)
+            mask = 1 << path[depth]
         else:
             attempts += len(endos)
-            choices = _bits(screen.rows(assign, done, pos, allowed))
+            mask = screen.rows(assign, done, pos, allowed)
         mark = len(done)
-        for e in choices:
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            e = low.bit_length() - 1
             if close(pos, e):
                 sub = _lex_test(assign, active)
                 if sub is not None:
@@ -405,34 +411,25 @@ def canonicalize(g: FiniteGroup, mul: Table) -> Table:
     return min(relabel(g, mul, th) for th in endomorphisms(g, invertible_only=True))
 
 
-def _conjugation_tables(g: FiniteGroup):
-    """Per theta in Aut(g), in sorted order: theta and the table conj with
-    endos[conj[e]] = theta^-1 o endos[e] o theta.
+def _root_triples(g: FiniteGroup, iso_reduction: bool):
+    """The (theta, conj, 0) triples the lex-leader test starts from at the
+    root, one per automorphism theta other than the identity, in sorted
+    order, with conj the table endos[conj[e]] = theta^-1 o endos[e] o theta;
+    without reduction there are none, so every leaf is kept.
 
     Row x of relabel(g, t, theta) is theta^-1 o t[theta(x)] o theta, so on
     index tuples relabeling is t'[x] = conj[t[theta[x]]]: n lookups. Aut(g)
-    is taken as the bijective members of the sorted End(g); theta^-1 is
-    the i with theta o endos[i] the identity, and conj is read from comp.
+    is taken as the bijective members of the sorted End(g), whose least is
+    the identity; theta^-1 is the i with theta o endos[i] the identity, and
+    conj is read from comp.
     """
-    endos, index, comp = _endo_data(g)
-    one = index[tuple(range(g.order))]
-    out = []
-    for th, theta in enumerate(endos):
-        if len(set(theta)) == g.order:
-            inv = comp[comp[th].index(one)]
-            out.append((theta, tuple(comp[c][th] for c in inv)))
-    return out
-
-
-def _root_triples(g: FiniteGroup, iso_reduction: bool):
-    """The (theta, conj, 0) triples the lex-leader test starts from at the
-    root, one per automorphism other than the identity; without reduction
-    there are none, so every leaf is kept."""
     if not iso_reduction:
         return ()
-    identity = tuple(range(g.order))
-    return tuple((theta, conj, 0) for theta, conj in _conjugation_tables(g)
-                 if theta != identity)
+    endos, index, comp = _endo_data(g)
+    one = index[tuple(range(g.order))]
+    return tuple((theta, tuple(comp[c][th] for c in comp[comp[th].index(one)]), 0)
+                 for th, theta in enumerate(endos)
+                 if th != one and len(set(theta)) == g.order)
 
 
 def _lex_test(t, active):
@@ -476,7 +473,9 @@ def _lex_test(t, active):
 def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int, emit):
     """Call emit on each kept index tuple, in lex order, and return the
     attempt count and the number of processes used: at most worker_count,
-    the CPU count and the number of paths, and 1 where `os.fork` is missing.
+    the CPU count, the CPUs this process may run on (its affinity mask,
+    where `os.sched_getaffinity` exists) and the number of paths, and 1
+    where `os.fork` is missing.
 
     With K > 1 processes the tree is split two levels deep, so the
     zero-map root, which holds most of the search, is shared out too. The
@@ -492,7 +491,10 @@ def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int, e
     endos, _, comp = _endo_data(g)
     search = partial(_search, endos, comp, _root_triples(g, iso_reduction),
                      _Screen(endos, comp))
-    workers = min(worker_count, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = min(cpus, len(os.sched_getaffinity(0)))
+    workers = min(worker_count, cpus) if hasattr(os, "fork") else 1
     paths, nodes = [], 0
     if workers > 1:
         nodes = search(paths.append, split=True)
@@ -592,7 +594,7 @@ def _read_frame(reader):
     return marshal.loads(data)
 
 
-class _RowLaw(dict):
+class _RowLaw(_Memo):
     """A law of the form "row op(a, b) is the pointwise op of rows a and
     b", decided on index tuples.
 
@@ -606,18 +608,10 @@ class _RowLaw(dict):
     """
 
     def __init__(self, endos, index, op):
-        super().__init__()
+        super().__init__(lambda key: index.get(
+            tuple(op[u][w] for u, w in zip(endos[key[0]], endos[key[1]])), -1))
         n = len(op)
-        self.endos, self.index, self.op = endos, index, op
         self.pairs = tuple((a, b, op[a][b]) for a in range(n) for b in range(n))
-
-    def __missing__(self, key):
-        e, f = key
-        op = self.op
-        v = self.index.get(
-            tuple(op[u][w] for u, w in zip(self.endos[e], self.endos[f])), -1)
-        self[key] = v
-        return v
 
     def holds(self, t) -> bool:
         """Whether row t[op(a, b)] is the pointwise op of rows t[a] and
@@ -637,7 +631,11 @@ class _IndexClassifier:
 
     def __init__(self, g: FiniteGroup, endos, index):
         n, add = g.order, g.add
-        self.abelian = g.abelian
+        # One shared PropertyFlags per combination of the four computed
+        # flags, abelian addition being fixed per group: a census holds
+        # 16 flag sets at most, not one per class.
+        self.flag_sets = {key: PropertyFlags(*key, g.abelian)
+                          for key in itertools.product((False, True), repeat=4)}
         self.one = index[tuple(range(n))]
         self.distributive = _RowLaw(endos, index, add)
         self.semidistributive = _RowLaw(endos, index, tuple(
@@ -661,15 +659,8 @@ class _IndexClassifier:
         # semidistributive tuple needs the second test. The zero map is
         # the least image vector, so x*y = 0 for all y iff t[x] == 0.
         sd = self.semidistributive.holds(t)
-        return _flag_set(t[0] == 0, sd, sd and self.distributive.holds(t),
-                         self.identity(t) is not None, self.abelian)
-
-
-@lru_cache(maxsize=None)
-def _flag_set(*values) -> PropertyFlags:
-    """One shared PropertyFlags per combination of values, in field order;
-    a census holds a handful of distinct flag sets, not one per class."""
-    return PropertyFlags(*values)
+        return self.flag_sets[t[0] == 0, sd, sd and self.distributive.holds(t),
+                              self.identity(t) is not None]
 
 
 def census_classes(spec: SearchSpec, emit) -> CensusResult:
@@ -689,8 +680,8 @@ def census_classes(spec: SearchSpec, emit) -> CensusResult:
     endos, index, _ = _endo_data(g)
     classifier = _IndexClassifier(g, endos, index)
     wanted = [_FLAG_ATTR[name] for name in spec.filters]
-    # Census flag sets are shared objects (`_flag_set`), so the tally has
-    # a handful of keys.
+    # Census flag sets are shared objects (`_IndexClassifier.flag_sets`),
+    # so the tally has a handful of keys.
     tally: Counter = Counter()
 
     def leaf(t):

@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-iso", action="store_true",
                    help="count raw tables instead of isomorphism classes")
     p.add_argument("--workers", type=int, default=1, metavar="K",
-                   help="search in at most K processes, and at most the CPU "
-                        "count, forked from this one (default 1)")
+                   help="search in at most K processes, and at most the CPUs "
+                        "this process may run on, forked from this one (default 1)")
     p.add_argument("--out", metavar="PATH", help="catalog path (default census-<spec>.jsonl)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_census)

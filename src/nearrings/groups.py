@@ -58,15 +58,21 @@ class FiniteGroup:
 
 
 def is_homomorphism(source: FiniteGroup, target: FiniteGroup, images: tuple[int, ...]) -> bool:
-    """Whether images[x+y] = images[x] + images[y] for all x, y, compared
-    one source row at a time."""
+    """Whether images[x+y] = images[x] + images[y] for all x, y, tested
+    along the edges x -> x + s of the stored generators s of source.
+
+    images[0] = 0 and images[x + s] = images[x] + images[s] for every x
+    and every generator s decide it: by induction on the number of
+    generator summands of y, images[x + y] = images[x] + images[y], as in
+    `_walk`. Each generator costs one column of images against one
+    column of sums. A group stored without generators has every element
+    taken as one, which is the definition itself.
+    """
     if images[0] != 0:
         return False
-    if not any(images):
-        return True  # the zero map, a homomorphism into any group
-    image, tadd = images.__getitem__, target.add
-    for x, row in enumerate(source.add):
-        if list(map(image, row)) != list(map(tadd[images[x]].__getitem__, images)):
+    tadd = target.add
+    for s in source.generators or range(source.order):
+        if [images[row[s]] for row in source.add] != [tadd[v][images[s]] for v in images]:
             return False
     return True
 

@@ -31,7 +31,9 @@ def census_of():
 
 @pytest.fixture
 def four_cpus(monkeypatch):
-    """The census caps its processes at os.cpu_count(), which it reads
-    from the os module; report four CPUs so that worker tests fork real
-    workers on any host."""
+    """The census caps its processes at os.cpu_count() and at the CPUs
+    this process may run on (os.sched_getaffinity, where it exists), which
+    it reads from the os module; report four of each so that worker tests
+    fork real workers on any host, a one-CPU affinity mask included."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)

@@ -13,7 +13,6 @@ from nearrings.census import (
     SearchSpec,
     _IndexClassifier,
     _Screen,
-    _conjugation_tables,
     _endo_data,
     _enumerate_classes,
     _root_triples,
@@ -294,12 +293,26 @@ def test_split_paths_partition_the_search(spec, iso):
 
 
 def test_pool_is_capped_at_the_cpu_count(monkeypatch):
-    # The census module reads os.cpu_count when it counts its processes.
+    # The census module reads os.cpu_count and the CPUs this process may
+    # run on when it counts its processes; here the CPU count is the cap.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     g = build_group("D8")
     kept, alone = [], []
     _, workers = _enumerate_classes(g, True, 8, kept.append)
     assert workers == 2
+    _enumerate_classes(g, True, 1, alone.append)
+    assert kept == alone
+
+
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
+    # Four CPUs, but an affinity mask of one: the census forks no worker.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    g = build_group("D8")
+    kept, alone = [], []
+    _, workers = _enumerate_classes(g, True, 2, kept.append)
+    assert workers == 1
     _enumerate_classes(g, True, 1, alone.append)
     assert kept == alone
 
@@ -608,10 +621,14 @@ def test_conjugation_tables_match_relabel(spec):
     endos, index, _ = _endo_data(g)
     assert all(a < b for a, b in zip(endos, endos[1:]))
     tables = [c.mul for c in itertools.islice(candidate_stream(g), 50)]
-    conjs = _conjugation_tables(g)
-    # The automorphisms of `groups`, found independently of comp.
-    assert [theta for theta, _ in conjs] == list(endomorphisms(g, invertible_only=True))
-    for theta, conj in conjs:
+    triples = _root_triples(g, True)
+    # The automorphisms of `groups`, found independently of comp, after the
+    # identity, which is the least bijective image vector and no triple.
+    auts = endomorphisms(g, invertible_only=True)
+    assert auts[0] == tuple(range(g.order))
+    assert [theta for theta, _, _ in triples] == list(auts[1:])
+    assert all(x == 0 for _, _, x in triples)
+    for theta, conj, _ in triples:
         for t in tables:
             idx = [index[row] for row in t]
             moved = tuple(endos[conj[idx[theta[x]]]] for x in range(g.order))

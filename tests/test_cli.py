@@ -306,6 +306,7 @@ def test_one_worker_commands_never_import_the_pool(tmp_path):
         "assert main(['census', 'S3', '--out', sys.argv[1]]) == 0\n"
         "assert main(['lemmas', '--census', 'Z3']) == 0\n"
         "os.cpu_count = lambda: 4\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
         "for g in ('D8', 'Z2xZ6'):\n"
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out):\n"
@@ -330,11 +331,13 @@ def _terminate_census(tmp_path, signum, *options):
     stderr and session id. With workers the signal goes to the whole
     process group, as a terminal sends Ctrl-C."""
     src = os.path.dirname(os.path.dirname(nearrings.__file__))
-    # Two CPUs, so that `--workers 2` forks a worker on any host; SIGINT
-    # raises KeyboardInterrupt even where it was inherited ignored.
+    # Two CPUs, both usable, so that `--workers 2` forks a worker on any
+    # host; SIGINT raises KeyboardInterrupt even where it was inherited
+    # ignored.
     script = ("import os, signal, sys\n"
               "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
               "os.cpu_count = lambda: 2\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
               "from nearrings.cli import main\nsys.exit(main(sys.argv[1:]))\n")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen(

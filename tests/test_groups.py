@@ -6,6 +6,7 @@ import pytest
 
 from nearrings.errors import AxiomViolation, InputError, PreconditionError
 from nearrings.groups import (
+    FiniteGroup,
     _validate_table,
     build_group,
     endomorphisms,
@@ -24,11 +25,12 @@ ALL_SPECS = [
 
 
 def brute_force_endomorphisms(g):
-    """Independent n^n oracle for the endomorphism list."""
+    """Independent n^n oracle for the endomorphism list: the definition on
+    every map, sharing no generator argument with `_walk`."""
     n = g.order
     found = []
     for images in itertools.product(range(n), repeat=n):
-        if is_homomorphism(g, g, images):
+        if definitional_is_homomorphism(g, g, images):
             found.append(images)
     return sorted(found)
 
@@ -39,6 +41,17 @@ def definitional_is_homomorphism(source, target, images):
                for x in range(n) for y in range(n))
 
 
+def homomorphisms_checked(g, h):
+    """|Hom(g, h)|, with is_homomorphism checked against the definition on
+    every map from g to h."""
+    found = 0
+    for images in itertools.product(range(h.order), repeat=g.order):
+        expected = definitional_is_homomorphism(g, h, images)
+        assert is_homomorphism(g, h, images) == expected, images
+        found += expected
+    return found
+
+
 # Every map between the groups of each pair, maps with images[0] != 0
 # included, against the definition; the pairs of distinct groups keep the
 # source and target tables apart. The counts are |Hom(source, target)|.
@@ -47,13 +60,14 @@ def definitional_is_homomorphism(source, target, images):
     ("Z4", "Z2xZ2", 4), ("Z2xZ2", "Z4", 4), ("S3", "Z6", 2),
 ])
 def test_is_homomorphism_matches_definition_on_all_maps(source, target, count):
-    g, h = build_group(source), build_group(target)
-    found = 0
-    for images in itertools.product(range(h.order), repeat=g.order):
-        expected = definitional_is_homomorphism(g, h, images)
-        assert is_homomorphism(g, h, images) == expected, images
-        found += expected
-    assert found == count
+    assert homomorphisms_checked(build_group(source), build_group(target)) == count
+
+
+def test_is_homomorphism_without_generators_matches_definition():
+    # A Z4 stored with no generators: every element is tested as one.
+    z4 = build_group("Z4")
+    g = FiniteGroup(z4.order, z4.add, z4.names, None, ())
+    assert homomorphisms_checked(g, build_group("Z2xZ2")) == 4
 
 
 def test_cyclic_tables():
