@@ -5,7 +5,9 @@ of an additive endomorphism phi_x per element x (the left translation
 row), and associativity is exactly the closure law
 phi_(phi_x(y)) = phi_x o phi_y. The search therefore assigns endomorphism
 indices to elements in index order with incremental constraint
-propagation, instead of scanning all n^(n^2) raw tables. The propagation
+propagation, instead of scanning all n^(n^2) raw tables. The law for a
+pair (x, y) reads x only through its row, so the propagation checks it
+once per distinct row of the partial table, not once per element, and
 fails fast: each forced assignment is checked as soon as it is derived.
 Every node tries only the rows that pass a bitmask screen (`_Screen`):
 two necessary conditions of the closure law that compare a row only with
@@ -203,12 +205,15 @@ class _Screen:
         swapped).
 
     (A) does not depend on pos, so the DFS carries its mask down and
-    extends it only with the pairs that touch newly assigned elements.
-    `close` fails on every row either condition drops and stays the
-    authority on every row that passes. The masks are built on first use,
-    never as |End|^2 masks up front: at[z][w] = {e : e(z) = w} per census,
-    and per row h, right[h][c] = {e : e o h = c} and left[h][c] =
-    {e : h o e = c}.
+    extends it at each node only with the pairs (z, w) whose z was
+    assigned since the parent's mask: the other half, an old z with a new
+    w, barely prunes and is left to `close`. (B) reads z only through its
+    row t[z], so it runs once per distinct row. Both are necessary
+    conditions only: `close` fails on every row either drops and stays
+    the authority on every row that passes. The masks are built on first
+    use, never as |End|^2 masks up front: at[z][w] = {e : e(z) = w} per
+    census, and per row h, right[h][c] = {e : e o h = c} and left[h][c]
+    = {e : h o e = c}.
     """
 
     def __init__(self, endos, comp):
@@ -223,27 +228,25 @@ class _Screen:
         self.left = _Memo(lambda h: _masks(comp[h]))
 
     def broken(self, assign, done, since):
-        """The rows that (A) drops on the pairs (z, w) of assigned
-        elements with z or w in done[since:]."""
+        """The rows that (A) drops on the pairs (z, w) of assigned elements
+        with z in done[since:]."""
         at, right = self.at, self.right
-        new = done[since:]
         bad = 0
-        for i, z in enumerate(done):
+        for z in done[since:]:
             atz = at[z]
             rz = right[assign[z]]
-            for w in (done if i >= since else new):
+            for w in done:
                 a = atz[w]
                 if a:
                     bad |= a & ~rz.get(assign[w], 0)
         return bad
 
-    def rows(self, assign, done, pos, allowed):
-        """The rows of `allowed`, the carried (A) mask, that (B) keeps
-        at pos."""
+    def rows(self, assign, distinct, pos, allowed):
+        """The rows of `allowed`, the carried (A) mask, that (B) keeps at
+        pos, given the distinct rows of the assigned elements."""
         endos, left = self.endos, self.left
         mask = allowed
-        for z in done:
-            h = assign[z]
+        for h in distinct:
             c = assign[endos[h][pos]]
             if c is not None:
                 mask &= left[h].get(c, 0)
@@ -266,16 +269,18 @@ def _search(endos, comp, conjs, screen, emit, path=(), split=False):
     least under every automorphism. With no triples nothing is cut and the
     search is the full one.
 
-    Each node, the root included, tries only the rows that pass `screen`,
-    in increasing order; the screen drops only rows on which `close`
-    fails, so the tree is the one an unscreened loop over every row would
-    walk. `attempts` is the number of candidate rows summed over the
-    nodes: len(endos) at every node, the root included, whether screened
-    out or tried; forced assignments made by propagation are not
-    counted. A leaf is a complete assignment, as a tuple t of
-    endomorphism indices (row x of the table is endos[t[x]]), and the
-    leaves come in DFS order, which is lex order: siblings first differ
-    at the branching position, with e increasing.
+    `close` propagates the closure law once per distinct row of the
+    partial table, kept in `rows` and undone beside `done`. Each node,
+    the root included, tries only the rows that pass `screen`, in
+    increasing order; the screen drops only rows on which `close` fails,
+    so the tree is the one an unscreened loop over every row would walk.
+    `attempts` is the number of candidate rows summed over the nodes:
+    len(endos) at every node, the root included, whether screened out or
+    tried; forced assignments made by propagation are not counted. A leaf
+    is a complete assignment, as a tuple t of endomorphism indices (row x
+    of the table is endos[t[x]]), and the leaves come in DFS order, which
+    is lex order: siblings first differ at the branching position, with e
+    increasing.
 
     The same step cuts the tree two levels deep and searches it in parts.
     With `split`, a branch is not searched below depth 2: its leaf is the
@@ -283,28 +288,47 @@ def _search(endos, comp, conjs, screen, emit, path=(), split=False):
     leaves free), or (root row,) where the root's propagation completes
     the table, and `attempts` counts those two levels. With a `path`, the
     node at each depth the path covers tries only the path's row and
-    counts no attempt, so the search runs only below it. Searching below each path in turn gives the
-    whole search's leaves in order, and its attempts with the split's.
+    counts no attempt, so the search runs only below it. Searching below
+    each path in turn gives the whole search's leaves in order, and its
+    attempts with the split's.
     """
     n = len(endos[0])
     assign: list[int | None] = [None] * n
     # Assigned elements in assignment order: the propagation queue and the
     # undo trail at once.
     done: list[int] = []
+    # The distinct rows of the closed elements, in first-use order, undone
+    # beside `done`.
+    rows: list[int] = []
     # The rows chosen on the current branch, root first.
     branch: list[int] = []
     attempts = 0
 
-    def close(x0: int, e0: int, assign=assign, done=done,
+    def close(x0: int, e0: int, assign=assign, done=done, rows=rows,
               endos=endos, comp=comp) -> bool:
         """Assign e0 to x0 and propagate phi_(phi_y(z)) = phi_y o phi_z.
 
-        Each forced pair is checked as soon as it is derived: a free target
-        is assigned and queued, a conflicting one fails at once. Elements
-        already in `done` are closed among themselves, so each queued
-        element is paired once with itself and every element before it.
-        The fixpoint, or the existence of a conflict, does not depend on
-        the order, so neither does the search tree.
+        The law for a pair (y, z) reads y only through its row, so it is
+        the constraint C(h, z): t[h(z)] = h o t[z], for h = t[y]. The
+        elements before the next queued y in `done` are closed: C(h, z)
+        holds for every h in `rows`, the distinct rows of the closed
+        elements in first-use order, and every closed z. Closing y, with
+        f = t[y], needs C(f, z) for every closed z, y included, and
+        C(h, y) for every h in `rows`, f included:
+
+        1. f is new to `rows`: the loop over done[:i] checks C(f, z) for
+           every closed z, y included, and f joins `rows`;
+        2. f is already in `rows`: C(f, z) holds for every z closed
+           before y, so nothing is checked again;
+        3. in either case the loop over `rows`, f included, checks
+           C(h, y) for every h.
+
+        So this is the pair loop over every closed (y, z), each in both
+        orders, with one check per distinct row instead of one per
+        element. Each forced pair is checked as soon as it is derived: a
+        free target is assigned and queued, a conflicting one fails at
+        once. The fixpoint, or the existence of a conflict, does not
+        depend on the order, so neither does the search tree.
         """
         assign[x0] = e0
         done.append(x0)
@@ -313,18 +337,20 @@ def _search(endos, comp, conjs, screen, emit, path=(), split=False):
             y = done[i]
             i += 1
             f = assign[y]
-            fimg = endos[f]
-            fcomp = comp[f]
-            for z in done[:i]:
-                h = assign[z]
-                w = fimg[z]
-                v = fcomp[h]
-                cur = assign[w]
-                if cur is None:
-                    assign[w] = v
-                    done.append(w)
-                elif cur != v:
-                    return False
+            if f not in rows:
+                rows.append(f)
+                fimg = endos[f]
+                fcomp = comp[f]
+                for z in done[:i]:
+                    w = fimg[z]
+                    v = fcomp[assign[z]]
+                    cur = assign[w]
+                    if cur is None:
+                        assign[w] = v
+                        done.append(w)
+                    elif cur != v:
+                        return False
+            for h in rows:
                 w = endos[h][y]
                 v = comp[h][f]
                 cur = assign[w]
@@ -357,8 +383,8 @@ def _search(endos, comp, conjs, screen, emit, path=(), split=False):
             mask = 1 << path[depth]
         else:
             attempts += len(endos)
-            mask = screen.rows(assign, done, pos, allowed)
-        mark = len(done)
+            mask = screen.rows(assign, rows, pos, allowed)
+        mark, rmark = len(done), len(rows)
         while mask:
             low = mask & -mask
             mask ^= low
@@ -372,6 +398,7 @@ def _search(endos, comp, conjs, screen, emit, path=(), split=False):
             for y in done[mark:]:
                 assign[y] = None
             del done[mark:]
+            del rows[rmark:]
 
     extend(0, conjs, (1 << len(endos)) - 1, 0)
     return attempts
@@ -443,8 +470,10 @@ def _lex_test(t, active):
     entries, so none is least. Otherwise returns the triples still open,
     each with x moved to that first unassigned y, dropping those already
     larger, or equal on a complete t, since no completion can make them
-    smaller. A subtree never unassigns an entry, so the equal prefix only
-    grows and each entry of a branch is compared once per automorphism.
+    smaller. Most triples are still blocked at their x, so that entry is
+    read first and such a triple is passed on after two lookups. A
+    subtree never unassigns an entry, so the equal prefix only grows and
+    each entry of a branch is compared once per automorphism.
     Every theta fixes element 0, so entry 0 compares conj[t[0]] with t[0]:
     at the root this cuts each row that some automorphism conjugates to a
     smaller row, and drops the triples outside t[0]'s stabiliser; below it
@@ -454,11 +483,14 @@ def _lex_test(t, active):
     still_open = []
     for triple in active:
         theta, conj, start = triple
+        if t[start] is None or t[theta[start]] is None:
+            still_open.append(triple)
+            continue
         for x in range(start, n):
             a = t[x]
             b = t[theta[x]]
             if a is None or b is None:
-                still_open.append(triple if x == start else (theta, conj, x))
+                still_open.append((theta, conj, x))
                 break
             v = conj[b]
             if v != a:

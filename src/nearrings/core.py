@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AxiomViolation, InputError, PreconditionError
 from .groups import (
@@ -89,6 +90,15 @@ class Nearring:
 
     def label(self) -> str:
         return self.name if self.name else f"nearring-on-{self.group.label()}"
+
+    @cached_property
+    def annihilator(self) -> tuple[int, ...]:
+        """The annihilator of the regular module (the additive group acted
+        on by right multiplication): all x with g*x = 0 for every g, that
+        is the zero columns of mul. Computed once per nearring, however
+        many checks read it."""
+        zero = (0,) * self.order
+        return tuple(x for x, column in enumerate(zip(*self.mul)) if column == zero)
 
 
 # -- validation and classification -------------------------------------------
@@ -291,11 +301,8 @@ def ideals(r: Nearring) -> list[tuple[int, ...]]:
 # -- the regular module -------------------------------------------------------
 
 def annihilator(r: Nearring) -> tuple[int, ...]:
-    """The annihilator of the regular module (the additive group of r acted
-    on by right multiplication): all x with g*x = 0 for every g, that is
-    the zero columns of r.mul."""
-    zero = (0,) * r.order
-    return tuple(x for x, column in enumerate(zip(*r.mul)) if column == zero)
+    """The annihilator of the regular module, `Nearring.annihilator`."""
+    return r.annihilator
 
 
 # -- builtin examples ----------------------------------------------------------

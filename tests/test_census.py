@@ -516,7 +516,7 @@ def _closure_accepts(rows, pos, e, endos, compose):
     return True
 
 
-@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "Z2xZ4", "Z2xZ6", "Z12"])
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "Z2xZ4", "Z2xZ6", "Z12", "Z3xZ3"])
 def test_screen_admits_every_row_close_accepts(spec, monkeypatch):
     # At every node of the reduced and unreduced searches, each row the
     # bitmask screen drops must be one the closure rejects, by a closure
@@ -530,8 +530,8 @@ def test_screen_admits_every_row_close_accepts(spec, monkeypatch):
     nodes = [0]
     rows = module._Screen.rows
 
-    def checked_rows(self, assign, done, pos, allowed):
-        mask = rows(self, assign, done, pos, allowed)
+    def checked_rows(self, assign, distinct, pos, allowed):
+        mask = rows(self, assign, distinct, pos, allowed)
         nodes[0] += 1
         partial = {x: e for x, e in enumerate(assign) if e is not None}
         for e in range(len(endos)):
@@ -547,6 +547,37 @@ def test_screen_admits_every_row_close_accepts(spec, monkeypatch):
         pinned = NODES_VISITED if iso else NODES_VISITED_NO_ISO
         if spec in pinned:
             assert c.nodes_visited == pinned[spec]
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "Z2xZ4"])
+def test_close_leaves_every_partial_table_closed(spec, monkeypatch):
+    # `close` checks the closure law once per distinct row of the partial
+    # table, not once per element. The lex test runs after every close
+    # that succeeds, so there every pair of assigned y, z must satisfy
+    # t[t[y](z)] = t[y] o t[z], with the composite built here from the
+    # image vectors one element at a time, sharing no table with the
+    # search.
+    module = importlib.import_module("nearrings.census")
+    g = build_group(spec)
+    endos, index, _ = _endo_data(g)
+    composite = {}
+    lex_test, nodes = module._lex_test, [0]
+
+    def checked_lex_test(t, active):
+        nodes[0] += 1
+        assigned = [(x, e) for x, e in enumerate(t) if e is not None]
+        for y, f in assigned:
+            for z, h in assigned:
+                if (f, h) not in composite:
+                    composite[f, h] = index[tuple(endos[f][v] for v in endos[h])]
+                assert t[endos[f][z]] == composite[f, h], (t, y, z)
+        return lex_test(t, active)
+
+    monkeypatch.setattr(module, "_lex_test", checked_lex_test)
+    for iso, pinned in ((True, NODES_VISITED), (False, NODES_VISITED_NO_ISO)):
+        nodes[0] = 0
+        assert census(SearchSpec(g, iso_reduction=iso)).nodes_visited == pinned[spec]
+        assert nodes[0] > 0
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS)
