@@ -96,17 +96,40 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+class _IdentityMemo(dict):
+    """id(obj) -> fn(obj), for the few shared objects a census hands out
+    per record or report: memo.get(id(obj)) is an int-keyed dict hit, not
+    a call of the generated dataclass __hash__, and memo.add(obj)
+    computes a missing entry. `fn` returns non-empty text, so
+    memo.get(id(obj)) or memo.add(obj) is the lookup. Each entry keeps its
+    object, so no id is reused while the memo lives."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+        self.held = []
+
+    def add(self, obj):
+        self.held.append(obj)
+        value = self[id(obj)] = self.fn(obj)
+        return value
+
+
 def _record_joiner(group: FiniteGroup, row_text):
     """record(rows, flags): one catalog record, joined in sorted-key order
     from the once-encoded flag set, group spec and rows, so it equals
     _dump of the record's dict. row_text[key] is the JSON text of the row
-    that key stands for."""
+    that key stands for. The flag text is looked up by the flag set's
+    identity: a census hands out at most 16 shared flag sets
+    (`census._IndexClassifier.flag_sets`), and flag sets that are equal
+    but not shared only get an entry each."""
     spec = _dump(group_spec_json(group))
-    flag_text = _Memo(lambda flags: _dump(flags.as_dict()))
+    flag_text = _IdentityMemo(lambda flags: _dump(flags.as_dict()))
     row = row_text.__getitem__
 
     def record(rows, flags) -> str:
-        return f'{{"flags":{flag_text[flags]},"group":{spec},"mul":[{",".join(map(row, rows))}]}}'
+        flags_json = flag_text.get(id(flags)) or flag_text.add(flags)
+        return f'{{"flags":{flags_json},"group":{spec},"mul":[{",".join(map(row, rows))}]}}'
 
     return record
 
@@ -220,16 +243,18 @@ def write_census_reports(out, reports) -> dict:
 
     Nothing is written before the first report, so a census that fails
     before its first class leaves `out` empty. Witness-free verdicts are
-    shared objects (checks._vacuous, _passed), so each distinct one is
-    encoded once; a verdict with a witness is encoded on its own. The
-    text equals json.dumps(..., sort_keys=True) of the whole document.
+    shared objects (the `lru_cache` singletons of checks._vacuous and
+    _passed), so each distinct one is encoded once and its text looked up
+    by identity; a verdict with a witness is encoded on its own. The text
+    equals json.dumps(..., sort_keys=True) of the whole document.
     """
-    shared = _Memo(lambda verdict: _encode(verdict.as_dict()))
+    shared = _IdentityMemo(lambda verdict: _encode(verdict.as_dict()))
 
     def written():
         for i, rep in enumerate(reports):
             verdicts = ", ".join(
-                shared[v] if v.witness is None else _encode(v.as_dict())
+                (shared.get(id(v)) or shared.add(v)) if v.witness is None
+                else _encode(v.as_dict())
                 for v in rep.verdicts)
             overall = '"pass"' if rep.overall else '"fail"'
             head = ", " if i else '{"reports": ['

@@ -238,6 +238,9 @@ def ideal_violation(r: Nearring, members) -> dict | None:
     Conditions, in scan order: contains 0 and is closed under addition,
     is normal in the additive group, absorbs left products r*a, and
     contains every difference (r+a)*s - r*s.
+
+    On an abelian group h + a - h = a, so every subgroup is normal and
+    the normality scan is skipped.
     """
     n, add, neg, mul = r.order, r.group.add, r.group.neg, r.mul
     s = set(members)
@@ -250,11 +253,12 @@ def ideal_violation(r: Nearring, members) -> dict | None:
         for b in ordered:
             if add[a][b] not in s:
                 return {"condition": "subgroup", "elements": (a, b), "value": add[a][b]}
-    for h in range(n):
-        for a in ordered:
-            v = add[add[h][a]][neg[h]]
-            if v not in s:
-                return {"condition": "normality", "elements": (h, a), "value": v}
+    if not r.group.abelian:
+        for h in range(n):
+            for a in ordered:
+                v = add[add[h][a]][neg[h]]
+                if v not in s:
+                    return {"condition": "normality", "elements": (h, a), "value": v}
     for x in range(n):
         for a in ordered:
             if mul[x][a] not in s:

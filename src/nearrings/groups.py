@@ -49,6 +49,15 @@ class FiniteGroup:
         return tuple(len(_closure(self.add, (x,))) for x in range(self.order))
 
     @cached_property
+    def translations(self) -> tuple[bytes, ...]:
+        """Column s of the addition table as a bytes.translate table:
+        translations[s][x] = x + s for every element x, padded to 256
+        bytes. Every element of a group of order at most MAX_ORDER is a
+        byte."""
+        return tuple(bytes(row[s] for row in self.add).ljust(256, b"\0")
+                     for s in range(self.order))
+
+    @cached_property
     def abelian(self) -> bool:
         a = self.add
         return all(a[x][y] == a[y][x] for x in range(self.order) for y in range(self.order))
@@ -65,14 +74,20 @@ def is_homomorphism(source: FiniteGroup, target: FiniteGroup, images: tuple[int,
     and every generator s decide it: by induction on the number of
     generator summands of y, images[x + y] = images[x] + images[y], as in
     `_walk`. Each generator costs one column of images against one
-    column of sums. A group stored without generators has every element
-    taken as one, which is the definition itself.
+    column of sums, both composed in C by bytes.translate: the source's
+    column x -> x + s put through images, and images put through the
+    target's column v -> v + images[s] (`FiniteGroup.translations`). The
+    images are elements of target. A group stored without generators has
+    every element taken as one, which is the definition itself.
     """
     if images[0] != 0:
         return False
-    tadd = target.add
-    for s in source.generators or range(source.order):
-        if [images[row[s]] for row in source.add] != [tadd[v][images[s]] for v in images]:
+    n = source.order
+    data = bytes(images)
+    table = data.ljust(256, b"\0")
+    columns, sums = source.translations, target.translations
+    for s in source.generators or range(n):
+        if columns[s][:n].translate(table) != data.translate(sums[images[s]]):
             return False
     return True
 

@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -14,6 +15,18 @@ SWEEP_SPECS = (
 )
 
 _CACHE: dict = {}
+
+
+def relabelled(g, seed):
+    """g as a raw table under a seeded relabelling that keeps 0, and the
+    relabelling, named index -> raw index."""
+    rng = random.Random(seed)
+    perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+    add = [[0] * g.order for _ in range(g.order)]
+    for x in range(g.order):
+        for y in range(g.order):
+            add[perm[x]][perm[y]] = perm[g.add[x][y]]
+    return build_group({"order": g.order, "add": add}), perm
 
 
 def cached_census(spec: str, **kwargs):

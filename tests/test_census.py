@@ -1,17 +1,19 @@
 import importlib
 import itertools
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SWEEP_SPECS
+from conftest import SWEEP_SPECS, relabelled
 from nearrings.census import (
     FILTER_NAMES,
     MAX_ENDOMORPHISMS,
     SearchSpec,
     _IndexClassifier,
+    _RowLaw,
     _Screen,
     _endo_data,
     _enumerate_classes,
@@ -633,6 +635,62 @@ def test_census_refuses_oversized_endomorphism_monoid():
         census(SearchSpec(build_group("Z2xZ2xZ2xZ2")))
     # Refused from the lazy stream: End(G) was never enumerated in full.
     assert endomorphisms.cache_info().currsize == cached
+
+
+def composed(endos, e, f):
+    """The image vector of endos[e] o endos[f], composed entry by entry."""
+    return tuple(endos[e][y] for y in endos[f])
+
+
+@pytest.mark.parametrize("spec, seed", [
+    ("Z2xZ2xZ2", None), ("Z4xZ4", None), ("D8", None), ("Q8", None), ("D12", None),
+    ("D12", 2),
+])
+def test_composition_table_composes_image_vectors(spec, seed):
+    # comp is composed with bytes.translate; every entry must be the index
+    # of the composed image vectors, over End(G) as `groups` lists it. With
+    # a seed, the group is a raw table under a seeded relabelling.
+    g = build_group(spec)
+    if seed is not None:
+        g = relabelled(g, seed)[0]
+    endos, index, comp = _endo_data(g)
+    assert endos == tuple(sorted(endomorphisms(g)))
+    m = len(endos)
+    assert len(comp) == m and all(len(row) == m for row in comp)
+    for e in range(m):
+        for f in range(m):
+            assert comp[e][f] == index[composed(endos, e, f)], (e, f)
+
+
+def test_composition_table_of_the_largest_admitted_monoid():
+    # Z2xZ2xZ4 has |End| = 1024 = MAX_ENDOMORPHISMS; its 2^20 entries are
+    # checked on a seeded sample of pairs, and on every pair with the zero
+    # map or the identity.
+    g = build_group("Z2xZ2xZ4")
+    endos, index, comp = _endo_data(g)
+    m = len(endos)
+    assert m == MAX_ENDOMORPHISMS
+    one = index[tuple(range(g.order))]
+    rng = random.Random(29)
+    pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(20000)]
+    pairs += [(e, f) for e in range(m) for f in (0, one)]
+    pairs += [(e, f) for e in (0, one) for f in range(m)]
+    for e, f in pairs:
+        assert comp[e][f] == index[composed(endos, e, f)], (e, f)
+
+
+@pytest.mark.parametrize("spec", ["S3", "Z2xZ6"])
+def test_row_law_pairs_put_the_zero_pairs_last(spec):
+    # Both laws hold at every pair with a = 0 or b = 0 on a zero-symmetric
+    # table, so those are tested last; every pair is still tested once.
+    g = build_group(spec)
+    endos, index, _ = _endo_data(g)
+    n = g.order
+    law = _RowLaw(endos, index, g.add)
+    assert sorted(law.pairs) == [(a, b, g.add[a][b]) for a in range(n) for b in range(n)]
+    tail = 2 * n - 1
+    assert all(a and b for a, b, _ in law.pairs[:-tail])
+    assert all(not (a and b) for a, b, _ in law.pairs[-tail:])
 
 
 def test_census_refuses_groups_above_max_order():

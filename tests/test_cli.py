@@ -527,6 +527,9 @@ LEMMAS_CENSUS_SHA256 = {
     "D8": "3abd9034de97672c5b7f8e1f6bc62d753b338514296453972d532eba9822bb01",
     "Q8": "ed8e81843ac9252416b05ac60d5970b4fcff951eb3f188966ef7924b65545424",
     "Z6": "fe41a7510026e4c2d985b1bdb5ee063b0c932587e9c9369454ba444d65563c38",
+    # Abelian, with annihilators other than {0}.
+    "Z12": "bc16e3d3256af82f06dae87ffe2ded1e8507df2e9595429b979956cc82e7d4c3",
+    "Z2xZ6": "73dbce088a5cd3a9fbd849613ab904a4ac67b3f4f78c0f213e69868880375bae",
 }
 
 

@@ -274,6 +274,18 @@ def test_zero_set_still_fails_left_product_on_corrupt_table():
     assert ideal_violation(builtin("s3-paper"), (0,)) is None
 
 
+def test_left_product_witness_is_the_first_in_x_major_order():
+    # {0, 2} is a subgroup of Z4, so the scan reaches the left products.
+    # Member 0's column fails only at x = 3 and member 2's at x = 1: a
+    # scan member by member would name (3, 0), but the witness is the
+    # first failure in x-major order, (1, 2).
+    g = build_group("Z4")
+    r = build_unchecked(g, ((0, 0, 0, 0), (0, 0, 3, 0), (0, 0, 0, 0), (1, 0, 0, 0)))
+    want = {"condition": "left-product", "elements": (1, 2), "value": 3}
+    assert ideal_violation(r, (0, 2)) == want
+    assert reference_ideal_violation(r, (0, 2)) == want
+
+
 def test_ideals(ring_z6, s3_paper):
     assert ideals(ring_z6) == [(0,), (0, 3), (0, 2, 4), (0, 1, 2, 3, 4, 5)]
     assert ideals(builtin("ring:Z5")) == [(0,), (0, 1, 2, 3, 4)]

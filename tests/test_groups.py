@@ -1,9 +1,9 @@
 import itertools
-import random
 from math import gcd, prod
 
 import pytest
 
+from conftest import relabelled
 from nearrings.errors import AxiomViolation, InputError, PreconditionError
 from nearrings.groups import (
     FiniteGroup,
@@ -230,18 +230,6 @@ def test_endomorphism_counts_small(spec, count):
 @pytest.mark.parametrize("spec,count", [(spec, subgroup_count(spec)) for spec in ALL_SPECS])
 def test_subgroup_counts(spec, count):
     assert len(subgroups(build_group(spec))) == count
-
-
-def relabelled(g, seed):
-    """g as a raw table under a seeded relabelling that keeps 0, and the
-    relabelling, named index -> raw index."""
-    rng = random.Random(seed)
-    perm = [0] + rng.sample(range(1, g.order), g.order - 1)
-    add = [[0] * g.order for _ in range(g.order)]
-    for x in range(g.order):
-        for y in range(g.order):
-            add[perm[x]][perm[y]] = perm[g.add[x][y]]
-    return build_group({"order": g.order, "add": add}), perm
 
 
 # Seeds whose relabelling gives the raw table at least 3 greedy
