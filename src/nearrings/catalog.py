@@ -218,7 +218,8 @@ def stream_catalog(path, spec: SearchSpec) -> CensusResult:
 
     SIGTERM ends the census as an exception that removes the temporary
     file, with any number of workers: the census kills and reaps its
-    forked workers on the way out, and they keep SIGTERM's default action.
+    forked search process on the way out, and that keeps SIGTERM's
+    default action.
     """
     row_text = [_dump(list(row)) for row in census_rows(spec.group)]
     record = _record_joiner(spec.group, row_text)

@@ -43,19 +43,14 @@ on, so a consumer that writes each class out (`nearrings census`) holds
 only the search's own state, while `census()` keeps every class as a
 table and `census_suite` as 16-bit indices in one flat array.
 
-A census with several workers splits the tree two levels deep, at the
-root and at the first position it leaves free, and searches below the
-surviving paths in K processes, K at most the CPUs this process may
-run on: the parent takes every K-th path and forks K - 1 children for
-the others, each searching its share and writing the leaves down a pipe
-of its own. The split and the search below a path are two conditions of
-the one DFS step that also runs the whole search. The paths are in DFS
-order and the parent reads them in that order, so the leaves, its own
-and the children's, are in lex order with no sort, and the zero-map
-root, which holds most of the search, is shared out like any other. A
-child that is ahead of the parent blocks on its full pipe, so no process
-holds more than a frame of leaves. Where `os.fork` is missing, the
-census runs in one process.
+A census with workers is a two-stage pipeline in two processes: a forked
+child runs the whole search and writes its leaves down a pipe, while the
+parent classifies, filters and hands on each class as it arrives. The
+search is the one-process search, so its leaves come in lex order and
+its attempt count is the same. A child that is ahead of the parent
+blocks on its full pipe, so neither process holds more than a frame of
+leaves. Where `os.fork` is missing, or fewer than two CPUs are usable,
+the census runs in one process.
 
 Kept classes are classified as index tuples too: a law of the form
 (a+b)c = ac+bc says row a+b is the pointwise sum of rows a and b, so
@@ -264,7 +259,7 @@ class _Screen:
         return mask
 
 
-def _search(endos, comp, conjs, screen, emit, path=(), split=False):
+def _search(endos, comp, conjs, screen, emit):
     """DFS over endomorphism assignments with closure propagation and
     partial lex-leader pruning: calls emit(leaf) on each leaf as it is
     found and returns the attempt count.
@@ -290,16 +285,6 @@ def _search(endos, comp, conjs, screen, emit, path=(), split=False):
     of the table is endos[t[x]]), and the leaves come in DFS order, which
     is lex order: siblings first differ at the branching position, with e
     increasing.
-
-    The same step cuts the tree two levels deep and searches it in parts.
-    With `split`, a branch is not searched below depth 2: its leaf is the
-    rows chosen on it, as (root row, row at the first position the root
-    leaves free), or (root row,) where the root's propagation completes
-    the table, and `attempts` counts those two levels. With a `path`, the
-    node at each depth the path covers tries only the path's row and
-    counts no attempt, so the search runs only below it. Searching below
-    each path in turn gives the whole search's leaves in order, and its
-    attempts with the split's.
     """
     n = len(endos[0])
     assign: list[int | None] = [None] * n
@@ -309,8 +294,6 @@ def _search(endos, comp, conjs, screen, emit, path=(), split=False):
     # The distinct rows of the closed elements, in first-use order, undone
     # beside `done`.
     rows: list[int] = []
-    # The rows chosen on the current branch, root first.
-    branch: list[int] = []
     attempts = 0
 
     def close(x0: int, e0: int, assign=assign, done=done, rows=rows,
@@ -378,24 +361,18 @@ def _search(endos, comp, conjs, screen, emit, path=(), split=False):
 
         `allowed` is the parent's (A) mask, every row at the root;
         done[since:] were assigned after it was computed. One bit loop
-        tries the rows of the candidate mask from the lowest, each taken
-        off as mask & -mask: the screened rows, counted as len(endos)
-        attempts, or, along `path`, the one bit 1 << path[depth],
-        uncounted. With `split` the search stops at depth 2.
+        tries the screened rows from the lowest, each taken off as
+        mask & -mask.
         """
         nonlocal attempts
         while pos < n and assign[pos] is not None:
             pos += 1
-        depth = len(branch)
-        if pos == n or split and depth == 2:
-            emit(tuple(branch) if split else tuple(assign))
+        if pos == n:
+            emit(tuple(assign))
             return
         allowed &= ~screen.broken(assign, done, since)
-        if depth < len(path):
-            mask = 1 << path[depth]
-        else:
-            attempts += len(endos)
-            mask = screen.rows(assign, rows, pos, allowed)
+        attempts += len(endos)
+        mask = screen.rows(assign, rows, pos, allowed)
         mark, rmark = len(done), len(rows)
         while mask:
             low = mask & -mask
@@ -404,9 +381,7 @@ def _search(endos, comp, conjs, screen, emit, path=(), split=False):
             if close(pos, e):
                 sub = _lex_test(assign, active)
                 if sub is not None:
-                    branch.append(e)
                     extend(pos + 1, sub, allowed, mark)
-                    branch.pop()
             for y in done[mark:]:
                 assign[y] = None
             del done[mark:]
@@ -516,21 +491,19 @@ def _lex_test(t, active):
 
 def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int, emit):
     """Call emit on each kept index tuple, in lex order, and return the
-    attempt count and the number of processes used: at most worker_count,
-    the CPU count, the CPUs this process may run on (its affinity mask,
-    where `os.sched_getaffinity` exists) and the number of paths, and 1
-    where `os.fork` is missing.
+    attempt count and the number of processes used: 2 where worker_count,
+    the CPU count and the CPUs this process may run on (its affinity mask,
+    where `os.sched_getaffinity` exists) are all at least 2 and `os.fork`
+    exists, and 1 otherwise.
 
-    With K > 1 processes the tree is split two levels deep, so the
-    zero-map root, which holds most of the search, is shared out too. The
-    parent searches path i itself when i % K == 0, and forks K - 1
-    children, child k searching paths[k::K] with the census data it
-    inherits. The parent walks the paths in order, searching its own and
-    reading each child's frames (`_worker`) for the others, so the leaves
-    come in the DFS order of the whole search, which is lex order. Every
-    child is reaped before this returns or raises, and any still running
-    is killed first; a child that ends early or exits with a nonzero
-    status fails the census.
+    With 2 processes the census is a pipeline: one forked child runs the
+    whole search (`_worker`) with the census data it inherits and writes
+    its leaves down a pipe, while this process reads them and calls emit,
+    which classifies, filters and writes each class. The leaves come from
+    the one DFS, so they are in lex order and the attempt count is the
+    one-process count. The child is reaped before this returns or raises,
+    and killed first if it is still running; a child that ends before its
+    attempt count or exits with a nonzero status fails the census.
     """
     endos, _, comp = _endo_data(g)
     search = partial(_search, endos, comp, _root_triples(g, iso_reduction),
@@ -538,19 +511,13 @@ def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int, e
     cpus = os.cpu_count() or 1
     if hasattr(os, "sched_getaffinity"):
         cpus = min(cpus, len(os.sched_getaffinity(0)))
-    workers = min(worker_count, cpus) if hasattr(os, "fork") else 1
-    paths, nodes = [], 0
-    if workers > 1:
-        nodes = search(paths.append, split=True)
-    workers = min(workers, len(paths))
-    if workers <= 1:
+    if min(worker_count, cpus) < 2 or not hasattr(os, "fork"):
         return search(emit), 1
-    died = f"a census worker process died ({workers} workers)"
-    pids, readers = [], []
-    try:
-        for k in range(1, workers):
-            r, w = os.pipe()
-            readers.append(open(r, "rb"))
+    died = "a census worker process died (2 workers)"
+    r, w = os.pipe()
+    pid = None
+    with open(r, "rb") as reader:
+        try:
             # The parent closes its copy of the write end at once; the
             # child never leaves the block but through os._exit.
             with open(w, "wb") as out:
@@ -559,49 +526,40 @@ def _enumerate_classes(g: FiniteGroup, iso_reduction: bool, worker_count: int, e
                     status = 1
                     try:
                         signal.signal(signal.SIGTERM, signal.SIG_DFL)
-                        for reader in readers:
-                            reader.close()
-                        _worker(search, paths[k::workers], out)
+                        reader.close()
+                        _worker(search, out)
                         status = 0
                     finally:
                         os._exit(status)
-            pids.append(pid)
-        for i, path in enumerate(paths):
-            if i % workers == 0:
-                nodes += search(emit, path=path)
-                continue
-            reader = readers[i % workers - 1]
             while type(frame := _read_frame(reader)) is list:
                 for t in frame:
                     emit(t)
-            nodes += frame
-        while pids:
-            # Popped once reaped, so that `finally` reaps the rest.
-            status = os.waitpid(pids[-1], 0)[1]
-            pids.pop()
+            status = os.waitpid(pid, 0)[1]
+            # Reaped, so `finally` leaves it be.
+            pid = None
             if status:
                 raise NearringError(
                     f"{died}: exit status {os.waitstatus_to_exitcode(status)}")
-    except EOFError as exc:
-        raise NearringError(f"{died}: {exc}") from exc
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for reader in readers:
-            reader.close()
-    return nodes, workers
+        except EOFError as exc:
+            raise NearringError(f"{died}: {exc}") from exc
+        finally:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    # The last frame is the attempt count.
+    return frame, 2
 
 
-# Leaves per frame a forked worker writes: with the pipe's buffer, the
-# most it runs ahead of the parent.
-_FRAME_LEAVES = 4096
+# Leaves per frame the forked worker writes: with the pipe's buffer, the
+# most it runs ahead of the parent, and the least a census must find for
+# the two processes to overlap.
+_FRAME_LEAVES = 256
 
 
-def _worker(search, paths, out):
-    """A forked census worker: search below each path in turn and write to
-    out its leaves, as marshal frames of at most _FRAME_LEAVES leaves, and
-    then the path's attempt count, flushed so the parent can read on."""
+def _worker(search, out):
+    """The forked census worker: run the whole search and write to out its
+    leaves, as marshal frames of at most _FRAME_LEAVES leaves, and then its
+    attempt count, flushed, since the child exits through os._exit."""
     frame = []
 
     def leaf(t):
@@ -610,13 +568,11 @@ def _worker(search, paths, out):
             _write_frame(out, frame)
             frame.clear()
 
-    for path in paths:
-        count = search(leaf, path=path)
-        if frame:
-            _write_frame(out, frame)
-            frame.clear()
-        _write_frame(out, count)
-        out.flush()
+    count = search(leaf)
+    if frame:
+        _write_frame(out, frame)
+    _write_frame(out, count)
+    out.flush()
 
 
 def _write_frame(out, obj):
@@ -627,14 +583,14 @@ def _write_frame(out, obj):
 
 
 def _read_frame(reader):
-    """The next frame of a worker's pipe, a list of leaves or an attempt
+    """The next frame of the worker's pipe, a list of leaves or the attempt
     count; EOFError if the pipe ends first. Each frame is read whole and
     then decoded, since marshal.load on a file reads it object by object."""
     head = reader.read(4)
     size = int.from_bytes(head, "little")
     data = reader.read(size)
     if len(head) < 4 or len(data) < size:
-        raise EOFError("its pipe ended before its last path")
+        raise EOFError("its pipe ended before its attempt count")
     return marshal.loads(data)
 
 

@@ -11,6 +11,7 @@ from conftest import SWEEP_SPECS, relabelled
 from nearrings.census import (
     FILTER_NAMES,
     MAX_ENDOMORPHISMS,
+    _FRAME_LEAVES,
     SearchSpec,
     _IndexClassifier,
     _RowLaw,
@@ -235,8 +236,7 @@ def test_filtered_census_is_the_filtered_full_census(spec, census_of):
 
 def test_census_worker_determinism(census_of, four_cpus):
     # Aut acts nontrivially on End of each of these groups, so the lex
-    # test at the root really cuts rows before they are split over the
-    # workers.
+    # test at the root really cuts rows in the forked search.
     for spec, workers in (("S3", (2, 8)), ("D8", (2, 3)), ("Q8", (2, 3))):
         g = build_group(spec)
         base = census_of(spec)
@@ -252,8 +252,8 @@ def test_census_worker_determinism(census_of, four_cpus):
     ("Z1", True), ("Z2", True), ("S3", True), ("Q8", True), ("D8", True),
     ("Z2xZ6", True), ("D8", False)])
 def test_catalog_is_identical_for_any_worker_count(spec, iso, census_of, four_cpus, tmp_path):
-    # Z1's root completes its only table; the unreduced D8 census splits
-    # every root and has no automorphism triples.
+    # Z1's root completes its only table; the unreduced D8 census has no
+    # automorphism triples.
     g = build_group(spec)
     base = tmp_path / "w1.jsonl"
     write_catalog(base, census_of(spec, iso_reduction=iso))
@@ -265,33 +265,13 @@ def test_catalog_is_identical_for_any_worker_count(spec, iso, census_of, four_cp
 
 @pytest.mark.parametrize("spec", ["D8", "Z2xZ6"])
 def test_parallel_classes_arrive_in_lex_order(spec, four_cpus):
-    # Worker results are concatenated in path order, with no sort.
+    # The forked search's leaves are handed on in the order it writes
+    # them, with no sort, over more than one frame.
     kept = []
     _, workers = _enumerate_classes(build_group(spec), True, 2, kept.append)
     assert workers == 2
+    assert len(kept) > _FRAME_LEAVES
     assert kept == sorted(kept)
-
-
-@pytest.mark.parametrize("spec, iso", [
-    ("Z1", True), ("D8", True), ("Z2xZ6", True), ("Z2xZ4", False), ("S3", True),
-    ("Z2xZ2xZ2", True)])
-def test_split_paths_partition_the_search(spec, iso):
-    # The paths, searched below one after another, give the whole
-    # search's leaves in order and its attempts, those of the split's two
-    # levels included. Z1's root completes its table: a path of length 1.
-    g = build_group(spec)
-    endos, _, comp = _endo_data(g)
-    conjs = _root_triples(g, iso)
-    screen = _Screen(endos, comp)
-    paths = []
-    attempts = _search(endos, comp, conjs, screen, paths.append, split=True)
-    assert paths == sorted(set(paths))
-    leaves = []
-    for path in paths:
-        attempts += _search(endos, comp, conjs, screen, leaves.append, path=path)
-    whole = []
-    assert attempts == _search(endos, comp, conjs, screen, whole.append)
-    assert leaves == whole
 
 
 def test_pool_is_capped_at_the_cpu_count(monkeypatch):
@@ -305,6 +285,24 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch):
     assert workers == 2
     _enumerate_classes(g, True, 1, alone.append)
     assert kept == alone
+
+
+def test_pool_forks_one_child_for_more_workers(monkeypatch, four_cpus):
+    # Four usable CPUs and three workers asked for: one forked search and
+    # this process, which hands on the one-worker leaves.
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    g = build_group("D8")
+    kept, alone = [], []
+    nodes, workers = _enumerate_classes(g, True, 3, kept.append)
+    assert workers == 2
+    assert len(forks) == 1
+    assert (nodes, kept) == (_enumerate_classes(g, True, 1, alone.append)[0], alone)
 
 
 def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
@@ -347,17 +345,6 @@ def test_consumer_error_with_workers_propagates_and_reaps_them(four_cpus):
         census_classes(SearchSpec(build_group("Z2xZ6"), worker_count=2), emit)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("spec", ["D8", "Z2xZ6"])
-def test_split_shares_out_the_zero_map_root(spec):
-    g = build_group(spec)
-    endos, _, comp = _endo_data(g)
-    assert endos[0] == (0,) * g.order
-    paths = []
-    _search(endos, comp, _root_triples(g, True), _Screen(endos, comp), paths.append,
-            split=True)
-    assert sum(path[0] == 0 for path in paths) >= 2
 
 
 def test_representatives_are_canonical(census_of):
@@ -607,22 +594,23 @@ def test_root_keeps_the_least_idempotent_conjugates(spec, monkeypatch):
     lex_test, seen, passed = module._lex_test, set(), set()
 
     def recorded_lex_test(t, active):
+        if active is not root:
+            return None
         sub = lex_test(t, active)
-        if active is root:
-            seen.add(endos[t[0]])
-            if sub is not None:
-                passed.add(endos[t[0]])
+        seen.add(endos[t[0]])
+        if sub is not None:
+            passed.add(endos[t[0]])
         return sub
 
     monkeypatch.setattr(module, "_lex_test", recorded_lex_test)
     for iso, kept in ((True, least), (False, idempotent)):
-        # The root alone gets the triples object; the split stops two
-        # levels deep, since the unreduced Z2xZ2xZ2 search is too long for
-        # a test.
+        # The root alone gets the triples object, and the search is cut
+        # below it, since the unreduced Z2xZ2xZ2 search is too long for a
+        # test.
         root = _root_triples(g, iso)
         seen.clear()
         passed.clear()
-        _search(endos, comp, root, _Screen(endos, comp), lambda path: None, split=True)
+        _search(endos, comp, root, _Screen(endos, comp), lambda leaf: None)
         assert seen == idempotent
         assert passed == kept
 

@@ -254,10 +254,9 @@ def _assert_no_child_left():
 
 
 def test_cmd_census_dead_worker_exits_2(tmp_path, capsys, monkeypatch, four_cpus):
-    # Workers are forked, so they inherit the patched entry function and
-    # die at once. Only forked workers run it: the parent splits the tree
-    # and searches its own share with the search itself. `nearrings.census`
-    # as an attribute is the function, not the module.
+    # The worker is forked, so it inherits the patched entry function and
+    # dies before its first frame; the parent never runs it.
+    # `nearrings.census` as an attribute is the function, not the module.
     monkeypatch.setattr(importlib.import_module("nearrings.census"), "_worker", _die)
     out_path = tmp_path / "s3.jsonl"
     code, _, err = run_cli(capsys, "census", "S3", "--workers", "2", "--out", str(out_path))
@@ -273,8 +272,8 @@ def test_cmd_census_dead_worker_exits_2(tmp_path, capsys, monkeypatch, four_cpus
 
 def test_cmd_census_worker_failing_after_its_frames_exits_2(tmp_path, capsys, monkeypatch,
                                                             four_cpus):
-    # The worker writes every frame of its paths, so the merge completes;
-    # its nonzero exit status must still fail the census.
+    # The worker writes every frame and its attempt count, so the parent
+    # reads the whole census; its nonzero exit status must still fail it.
     module = importlib.import_module("nearrings.census")
     work = module._worker
 
@@ -288,6 +287,36 @@ def test_cmd_census_worker_failing_after_its_frames_exits_2(tmp_path, capsys, mo
     assert code == 2
     assert err.startswith("error:")
     assert "2 workers" in err and "exit status 3" in err
+    assert not out_path.exists()
+    assert not list(tmp_path.glob(".catalog-*.tmp"))
+    _assert_no_child_left()
+
+
+def test_cmd_census_worker_dead_mid_stream_exits_2(tmp_path, capsys, monkeypatch, four_cpus):
+    # The worker writes one full frame of leaves and exits with status 0
+    # before its attempt count: the short pipe alone must fail the census.
+    module = importlib.import_module("nearrings.census")
+    work = module._worker
+
+    def work_then_exit(search, out):
+        leaves = itertools.count(1)
+
+        def cut(emit):
+            def leaf(t):
+                if next(leaves) > module._FRAME_LEAVES:
+                    out.flush()
+                    os._exit(0)
+                emit(t)
+            return search(leaf)
+
+        work(cut, out)
+
+    monkeypatch.setattr(module, "_worker", work_then_exit)
+    out_path = tmp_path / "d8.jsonl"
+    code, _, err = run_cli(capsys, "census", "D8", "--workers", "2", "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "(2 workers)" in err and "before its attempt count" in err
     assert not out_path.exists()
     assert not list(tmp_path.glob(".catalog-*.tmp"))
     _assert_no_child_left()
