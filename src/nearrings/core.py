@@ -193,22 +193,18 @@ def validate(candidate: CandidateMultiplication, name: str | None = None) -> Nea
     return Nearring(group, mul, identity, flags, name)
 
 
-def build_unchecked(group: FiniteGroup, mul, name: str | None = None,
-                    flags: PropertyFlags | None = None) -> Nearring:
+def build_unchecked(group: FiniteGroup, mul, name: str | None = None) -> Nearring:
     """Assemble a Nearring WITHOUT verifying the nearring axioms.
 
-    Identity and flags are still computed from the tables unless an
-    explicit `flags` override is given. This exists for diagnostic flows
-    and fault-injection tests that need axiom-violating tables to reach
-    the theorem checkers; it must never be used on untrusted input paths
-    that promise validated values.
+    Identity and flags are still read off the tables. This exists for
+    diagnostic flows and fault-injection tests that need axiom-violating
+    tables to reach the theorem checkers; it must never be used on
+    untrusted input paths that promise validated values.
     """
     table = tuple(tuple(int(v) for v in row) for row in mul)
     CandidateMultiplication(group, table)  # range/shape check only
     identity = find_identity(group, table)
-    if flags is None:
-        flags = classify_table(group, table, identity)
-    return Nearring(group, table, identity, flags, name)
+    return Nearring(group, table, identity, classify_table(group, table, identity), name)
 
 
 # -- element-level predicates -------------------------------------------------

@@ -23,24 +23,30 @@ Table = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group on elements 0..order-1; add[x][y] is the sum x+y."""
+    """A finite group on elements 0..order-1, held as its addition table:
+    add[x][y] is the sum x+y. The order, the inverses and the generating
+    set are read off the table, so none can disagree with it; names and
+    spec are display-only."""
 
-    order: int
     add: Table
     names: tuple[str, ...]
     spec: str | None = None
-    generators: tuple[int, ...] = ()
+
+    @cached_property
+    def order(self) -> int:
+        return len(self.add)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The generators that `is_homomorphism` and `iter_endomorphisms`
+        use: `_greedy_generators` of the table, one rule for named and raw
+        groups alike."""
+        return _greedy_generators(self.add)
 
     @cached_property
     def neg(self) -> tuple[int, ...]:
-        """Additive inverse of each element."""
-        inv = [0] * self.order
-        for x in range(self.order):
-            for y in range(self.order):
-                if self.add[x][y] == 0:
-                    inv[x] = y
-                    break
-        return tuple(inv)
+        """Additive inverse of each element: where its row holds 0."""
+        return tuple(row.index(0) for row in self.add)
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
@@ -68,7 +74,7 @@ class FiniteGroup:
 
 def is_homomorphism(source: FiniteGroup, target: FiniteGroup, images: tuple[int, ...]) -> bool:
     """Whether images[x+y] = images[x] + images[y] for all x, y, tested
-    along the edges x -> x + s of the stored generators s of source.
+    along the edges x -> x + s of the generators s of source.
 
     images[0] = 0 and images[x + s] = images[x] + images[s] for every x
     and every generator s decide it: by induction on the number of
@@ -77,8 +83,7 @@ def is_homomorphism(source: FiniteGroup, target: FiniteGroup, images: tuple[int,
     column of sums, both composed in C by bytes.translate: the source's
     column x -> x + s put through images, and images put through the
     target's column v -> v + images[s] (`FiniteGroup.translations`). The
-    images are elements of target. A group stored without generators has
-    every element taken as one, which is the definition itself.
+    images are elements of target.
     """
     if images[0] != 0:
         return False
@@ -86,7 +91,7 @@ def is_homomorphism(source: FiniteGroup, target: FiniteGroup, images: tuple[int,
     data = bytes(images)
     table = data.ljust(256, b"\0")
     columns, sums = source.translations, target.translations
-    for s in source.generators or range(n):
+    for s in source.generators:
         if columns[s][:n].translate(table) != data.translate(sums[images[s]]):
             return False
     return True
@@ -134,6 +139,9 @@ def _walk(add: Table, gens, images) -> dict[int, int] | None:
     generate is a sum of generators, and by induction on the number of
     summands of y, f(x + y) = f(x) + f(y): a completed walk is a
     homomorphism from that subgroup, with nothing left to scan.
+    `iter_endomorphisms` walks a group's generators
+    (`FiniteGroup.generators`), which reach every element; `_closure`
+    walks any seed.
     """
     f = {0: 0}
     pairs = tuple(zip(gens, images))
@@ -159,6 +167,10 @@ def _closure(add: Table, seed) -> frozenset[int]:
 
 
 def _greedy_generators(add: Table) -> tuple[int, ...]:
+    """A generating set read off the table: repeatedly the least element
+    outside the subgroup generated so far, until that subgroup is the whole
+    group. Empty for the trivial group; no generator is redundant when it
+    is added, though a later one may make an earlier one so."""
     n = len(add)
     gens: list[int] = []
     covered = _closure(add, frozenset())
@@ -169,33 +181,26 @@ def _greedy_generators(add: Table) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _cyclic(n: int) -> FiniteGroup:
-    add = tuple(tuple((x + y) % n for y in range(n)) for x in range(n))
-    gens = (1,) if n > 1 else ()
-    return FiniteGroup(n, add, tuple(str(x) for x in range(n)), f"Z{n}", gens)
-
-
 def _product(factors: list[int], spec: str) -> FiniteGroup:
+    """Z<a>xZ<b>x...: lexicographic tuples named "(a,b,...)", and a single
+    factor's residues named 0..n-1."""
     tuples = list(itertools.product(*(range(f) for f in factors)))
     index = {t: i for i, t in enumerate(tuples)}
-    n = len(tuples)
     add = tuple(
         tuple(index[tuple((a + b) % f for a, b, f in zip(s, t, factors))] for t in tuples)
         for s in tuples
     )
-    names = tuple("(" + ",".join(map(str, t)) + ")" for t in tuples)
-    gens = []
-    for pos in range(len(factors)):
-        unit = tuple(1 if i == pos else 0 for i in range(len(factors)))
-        if factors[pos] > 1:
-            gens.append(index[unit])
-    return FiniteGroup(n, add, names, spec, tuple(gens))
+    names = tuple(str(t[0]) if len(t) == 1 else "(" + ",".join(map(str, t)) + ")"
+                  for t in tuples)
+    return FiniteGroup(add, names, spec)
 
 
-def _dihedral(m: int, spec: str, names: tuple[str, ...] | None = None) -> FiniteGroup:
+def _dihedral(m: int, spec: str) -> FiniteGroup:
     """Dihedral group of order m = 2k: indices 0..k-1 are j*a, k..m-1 are j*a+b.
 
-    Written additively: a has order k, b has order 2, and b+a+b = -a.
+    Written additively: a has order k, b has order 2, and b+a+b = -a. The
+    names are 0, a, 2a, ..., b, a+b, 2a+b, ...; for S3 = D6 that is the
+    documented ordering.
     """
     k = m // 2
 
@@ -210,12 +215,9 @@ def _dihedral(m: int, spec: str, names: tuple[str, ...] | None = None) -> Finite
         return enc(j1 - j2, 1 - r2)
 
     add = tuple(tuple(plus(x, y) for y in range(m)) for x in range(m))
-    if names is None:
-        rot = ["0"] + [f"{j}a" if j > 1 else "a" for j in range(1, k)]
-        ref = ["b"] + [f"{j}a+b" if j > 1 else "a+b" for j in range(1, k)]
-        names = tuple(rot + ref)
-    gens = (1, k) if k > 1 else (1,)
-    return FiniteGroup(m, add, names, spec, gens)
+    rot = ["0"] + [f"{j}a" if j > 1 else "a" for j in range(1, k)]
+    ref = ["b"] + [f"{j}a+b" if j > 1 else "a+b" for j in range(1, k)]
+    return FiniteGroup(add, tuple(rot + ref), spec)
 
 
 def _quaternion() -> FiniteGroup:
@@ -225,7 +227,7 @@ def _quaternion() -> FiniteGroup:
     T = ((0, 2, 4, 6), (2, 1, 6, 5), (4, 7, 1, 2), (6, 4, 3, 1))
     add = tuple(tuple(T[x >> 1][y >> 1] ^ (x & 1) ^ (y & 1) for y in range(8))
                 for x in range(8))
-    return FiniteGroup(8, add, names, "Q8", (2, 4))  # generated by i and j
+    return FiniteGroup(add, names, "Q8")
 
 
 _SPEC_RE = re.compile(r"^(Z\d+(?:xZ\d+)*|D\d+|Q8|S3)$")
@@ -246,8 +248,7 @@ def build_group(spec) -> FiniteGroup:
     if not _SPEC_RE.match(s):
         raise InputError(f"unknown group spec {spec!r}")
     if s == "S3":
-        # a of order 3, b of order 2
-        return _dihedral(6, "S3", names=("0", "a", "2a", "b", "a+b", "2a+b"))
+        return _dihedral(6, "S3")  # a of order 3, b of order 2
     if s == "Q8":
         return _quaternion()
     if s.startswith("D"):
@@ -266,7 +267,7 @@ def build_group(spec) -> FiniteGroup:
     if order > MAX_ORDER:
         raise InputError(f"order {order} exceeds the maximum supported order {MAX_ORDER}")
     if len(factors) == 1:
-        return _cyclic(factors[0])
+        s = f"Z{factors[0]}"  # a cyclic group is labelled by its order ("Z04" is Z4)
     return _product(factors, s)
 
 
@@ -291,8 +292,7 @@ def build_raw_group(obj: dict) -> FiniteGroup:
     if len(add) != n:
         raise InputError(f'"add" must be a list of {n} rows')
     _validate_table(add)
-    names = tuple(str(x) for x in range(n))
-    return FiniteGroup(n, add, names, None, _greedy_generators(add))
+    return FiniteGroup(add, tuple(str(x) for x in range(n)))
 
 
 # -- spec operations ---------------------------------------------------------
@@ -313,10 +313,11 @@ def iter_endomorphisms(g: FiniteGroup):
     """Every additive endomorphism of g as an image vector, generated lazily
     and unsorted, so a caller can stop after as many as it will accept.
 
-    Each tuple of images for the stored generating set, each image of an
-    order dividing its generator's, is walked (`_walk`), and every walk
-    that ends without a conflict is a homomorphism, so the work is bounded
-    by |G|^(#generators) walks instead of the |G|^|G| raw function space.
+    Each tuple of images for the generators read off the table
+    (`FiniteGroup.generators`), each image of an order dividing its
+    generator's, is walked (`_walk`), and every walk that ends without a
+    conflict is a homomorphism, so the work is bounded by
+    |G|^(#generators) walks instead of the |G|^|G| raw function space.
     Distinct generator images give distinct maps, so nothing repeats.
     """
     n, gens, orders = g.order, g.generators, g.orders

@@ -18,7 +18,8 @@ path can express.
 
 from math import gcd, lcm
 
-from nearrings.core import PropertyFlags
+from nearrings.core import Nearring, PropertyFlags, find_identity
+from nearrings.groups import build_group
 
 # check_id -> (group spec, mul rows, notes)
 FILE_ENTRIES = {
@@ -121,6 +122,15 @@ NO_ORDER_TWO_ENTRY = {
     ),
     "notes": "projection table with lying semidistributive/identity flags",
 }
+
+
+def no_order_two_nearring() -> Nearring:
+    """NO_ORDER_TWO_ENTRY as a Nearring built directly, so that it carries
+    the entry's lying flags instead of the ones read off its table."""
+    entry = NO_ORDER_TWO_ENTRY
+    g = build_group(entry["group"])
+    table = tuple(map(tuple, entry["mul"]))
+    return Nearring(g, table, find_identity(g, table), entry["flags"])
 
 
 # -- independent witness recomputation ----------------------------------------

@@ -8,7 +8,7 @@ import json
 import time
 
 from conftest import SWEEP_SPECS
-from corpus import FILE_ENTRIES, NO_ORDER_TWO_ENTRY, reverify_witness
+from corpus import FILE_ENTRIES, no_order_two_nearring, reverify_witness
 from nearrings.catalog import write_catalog
 from nearrings.census import SearchSpec, brute_force_oracle, census
 from nearrings.checks import run_suite, summarize_reports
@@ -137,8 +137,7 @@ def test_criterion_6_fault_injection(tmp_path, capsys):
                    if v["applicable"] and not v["holds"]}
         assert cid in failing
 
-    entry = NO_ORDER_TWO_ENTRY
-    r = build_unchecked(build_group(entry["group"]), entry["mul"], flags=entry["flags"])
+    r = no_order_two_nearring()
     verdict = by_id["no-order-two"](r)
     assert verdict.applicable and not verdict.holds
     reverify_witness(r, verdict)

@@ -1,6 +1,6 @@
 import pytest
 
-from corpus import FILE_ENTRIES, NO_ORDER_TWO_ENTRY, reverify_witness
+from corpus import FILE_ENTRIES, no_order_two_nearring, reverify_witness
 from nearrings.checks import (
     CHECK_IDS,
     CHECKS,
@@ -144,8 +144,7 @@ def test_fault_corpus_fires_and_reverifies(cid):
 
 
 def test_fault_corpus_no_order_two_via_flag_corruption():
-    entry = NO_ORDER_TWO_ENTRY
-    r = build_unchecked(build_group(entry["group"]), entry["mul"], flags=entry["flags"])
+    r = no_order_two_nearring()
     v = check_no_order_two(r)
     assert v.applicable and not v.holds
     reverify_witness(r, v)

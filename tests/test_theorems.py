@@ -89,6 +89,28 @@ def test_each_hypothesis_is_needed():
     assert all(THEOREM_COUNTS[s][1] > 0 for s in ("Z2xZ2", "Z2xZ4", "Z2xZ2xZ2", "Z2xZ6"))
 
 
+# S∧¬D per group: 0 on every named abelian group with no element of order
+# 2, and positive on Z2xZ2 and Z6, which have one.
+S_NOT_D_COUNTS = {
+    "Z3": 0, "Z5": 0, "Z7": 0, "Z9": 0, "Z3xZ3": 0, "Z11": 0, "Z13": 0, "Z15": 0,
+    "Z2xZ2": 15, "Z6": 2,
+}
+
+
+@pytest.mark.parametrize("spec", S_NOT_D_COUNTS)
+def test_theorem_2_without_the_identity(census_of, spec):
+    """On an abelian group with no element of order 2, every
+    semidistributive nearring is distributive, with or without an
+    identity. From (a+b+a)c = ac+bc+ac: a = b = 0 gives 0c = 3(0c), so
+    0c = 0; b = 0 then gives (2a)c = 2(ac), so (2a+b)c = (2a)c + bc; and
+    x -> 2x is onto, since it is one-to-one without an element of order 2.
+    Z2xZ2 and Z6 show that the order-2 condition is needed here too."""
+    c = census_of(spec)
+    count = sum(f.semidistributive and not f.distributive for f in c.rep_flags)
+    assert count == S_NOT_D_COUNTS[spec]
+    assert c.group.abelian and (2 in c.group.orders) == (count > 0)
+
+
 # -- sharpness witnesses, re-checked on the image-space path -------------------
 
 # The lex-least I∧¬S class of D8: nonabelian, with identity 1, and not
