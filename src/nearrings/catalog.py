@@ -96,40 +96,18 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-class _IdentityMemo(dict):
-    """id(obj) -> fn(obj), for the few shared objects a census hands out
-    per record or report: memo.get(id(obj)) is an int-keyed dict hit, not
-    a call of the generated dataclass __hash__, and memo.add(obj)
-    computes a missing entry. `fn` returns non-empty text, so
-    memo.get(id(obj)) or memo.add(obj) is the lookup. Each entry keeps its
-    object, so no id is reused while the memo lives."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-        self.held = []
-
-    def add(self, obj):
-        self.held.append(obj)
-        value = self[id(obj)] = self.fn(obj)
-        return value
-
-
 def _record_joiner(group: FiniteGroup, row_text):
     """record(rows, flags): one catalog record, joined in sorted-key order
     from the once-encoded flag set, group spec and rows, so it equals
     _dump of the record's dict. row_text[key] is the JSON text of the row
-    that key stands for. The flag text is looked up by the flag set's
-    identity: a census hands out at most 16 shared flag sets
-    (`census._IndexClassifier.flag_sets`), and flag sets that are equal
-    but not shared only get an entry each."""
+    that key stands for. The flag text is memoised on the flag set's
+    value, and a group has at most 16 flag sets."""
     spec = _dump(group_spec_json(group))
-    flag_text = _IdentityMemo(lambda flags: _dump(flags.as_dict()))
+    flag_text = _Memo(lambda flags: _dump(flags.as_dict()))
     row = row_text.__getitem__
 
     def record(rows, flags) -> str:
-        flags_json = flag_text.get(id(flags)) or flag_text.add(flags)
-        return f'{{"flags":{flags_json},"group":{spec},"mul":[{",".join(map(row, rows))}]}}'
+        return f'{{"flags":{flag_text[flags]},"group":{spec},"mul":[{",".join(map(row, rows))}]}}'
 
     return record
 
@@ -160,7 +138,14 @@ def _atomic_text(path):
     appears complete or not at all; if the block raises, the temporary
     file is removed. The file gets the mode open() would give a new
     file, 0o666 less the umask, not mkstemp's 0o600.
+
+    `path` must be new or a regular file, or a link to one, which the
+    file replaces. A FIFO, a device or a directory is refused before
+    anything is written, since the replace would put a regular file in
+    its place.
     """
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise InputError(f"{path} exists and is not a regular file")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".catalog-", suffix=".tmp")
     # The umask is read by setting it; 0o077 meanwhile opens no other file wider.
@@ -243,19 +228,17 @@ def write_census_reports(out, reports) -> dict:
     return the summary.
 
     Nothing is written before the first report, so a census that fails
-    before its first class leaves `out` empty. Witness-free verdicts are
-    shared objects (the `lru_cache` singletons of checks._vacuous and
-    _passed), so each distinct one is encoded once and its text looked up
-    by identity; a verdict with a witness is encoded on its own. The text
-    equals json.dumps(..., sort_keys=True) of the whole document.
+    before its first class leaves `out` empty. A census holds few distinct
+    witness-free verdicts, so the text of each is memoised on its value;
+    a verdict with a witness does not hash and is encoded on its own. The
+    text equals json.dumps(..., sort_keys=True) of the whole document.
     """
-    shared = _IdentityMemo(lambda verdict: _encode(verdict.as_dict()))
+    text = _Memo(lambda verdict: _encode(verdict.as_dict()))
 
     def written():
         for i, rep in enumerate(reports):
             verdicts = ", ".join(
-                (shared.get(id(v)) or shared.add(v)) if v.witness is None
-                else _encode(v.as_dict())
+                text[v] if v.witness is None else _encode(v.as_dict())
                 for v in rep.verdicts)
             overall = '"pass"' if rep.overall else '"fail"'
             head = ", " if i else '{"reports": ['

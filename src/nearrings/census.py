@@ -177,7 +177,7 @@ class _Memo(dict):
     """key -> fn(key), computed and stored on the first lookup of key, so
     every later lookup is a plain dict hit. One memo table serves the
     screen's composition masks, the row laws of the classifier and the
-    encoded fragments of `catalog`."""
+    encoded rows, flag sets and verdicts of `catalog`."""
 
     def __init__(self, fn):
         super().__init__()
@@ -639,9 +639,9 @@ class _IndexClassifier:
 
     def __init__(self, g: FiniteGroup, endos, index):
         n, add = g.order, g.add
-        # One shared PropertyFlags per combination of the four computed
-        # flags, abelian addition being fixed per group: a census holds
-        # 16 flag sets at most, not one per class.
+        # One PropertyFlags per combination of the four computed flags,
+        # abelian addition being fixed per group: a census holds 16 flag
+        # sets at most, not one per class.
         self.flag_sets = {key: PropertyFlags(*key, g.abelian)
                           for key in itertools.product((False, True), repeat=4)}
         self.one = index[tuple(range(n))]
@@ -683,35 +683,32 @@ def census_classes(spec: SearchSpec, emit) -> CensusResult:
     are computed. The classes and the counts are independent of
     worker_count.
 
-    Every leaf's flags are one of the classifier's 16 shared flag sets
+    Every leaf's flags are one of the classifier's 16 flag sets
     (`_IndexClassifier.flag_sets`), so the filters are decided once per
-    flag set, not per leaf, and the kept flag sets are tallied by
-    identity: a leaf costs an int-keyed lookup, not the generated
-    PropertyFlags.__hash__. `kept` holds each of them, so no id is
-    reused while the tally lives.
+    flag set, not per leaf, and the kept flag sets are tallied in a dict
+    keyed by their value. The result lists the filters in FILTER_NAMES
+    order, each once, so every spelling of one census gives one summary.
     """
     g = spec.group
     t0 = time.perf_counter()
     endos, index, _ = _endo_data(g)
     classifier = _IndexClassifier(g, endos, index)
     wanted = [_FLAG_ATTR[name] for name in spec.filters]
-    kept = [f for f in classifier.flag_sets.values()
-            if all(getattr(f, attr) for attr in wanted)]
-    tally = dict.fromkeys(map(id, kept), 0)
+    tally = {f: 0 for f in classifier.flag_sets.values()
+             if all(getattr(f, attr) for attr in wanted)}
 
     def leaf(t):
         f = classifier.flags(t)
-        key = id(f)
-        if key in tally:
-            tally[key] += 1
+        if f in tally:
+            tally[f] += 1
             emit(t, f)
 
     nodes, workers = _enumerate_classes(g, spec.iso_reduction, spec.worker_count, leaf)
     return CensusResult(
         group=g,
         iso_reduction=spec.iso_reduction,
-        filters=tuple(spec.filters),
-        counts=count_flags({f: tally[id(f)] for f in kept}),
+        filters=tuple(name for name in FILTER_NAMES if name in spec.filters),
+        counts=count_flags(tally),
         representatives=(),
         rep_flags=(),
         nodes_visited=nodes,

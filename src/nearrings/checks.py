@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .core import (
     Nearring,
@@ -31,8 +32,11 @@ from .core import (
 from .groups import exponent, is_homomorphism, p_component, prime_divisors, times
 
 
-@dataclass(frozen=True)
-class CheckVerdict:
+class CheckVerdict(NamedTuple):
+    """One check's verdict. A tuple, so a witness-free verdict hashes and
+    compares by value in C; a witness is a dict, so a verdict with one
+    does not hash."""
+
     check_id: str
     applicable: bool
     holds: bool
@@ -63,7 +67,9 @@ class SuiteReport:
 
 
 # Vacuous and passing verdicts carry no witness, so each distinct one is
-# built once and shared: a census suite returns tens of thousands of them.
+# built once and cached. Verdicts compare by value, so nothing depends on
+# the sharing; the cache only saves their construction, and a census
+# suite returns tens of thousands of them.
 @lru_cache(maxsize=None)
 def _vacuous(check_id: str, notes: str = "") -> CheckVerdict:
     return CheckVerdict(check_id, applicable=False, holds=True, witness=None, notes=notes)

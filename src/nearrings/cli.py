@@ -59,8 +59,7 @@ def _counts_table(counts: dict[str, int]) -> str:
 
 def cmd_census(args) -> int:
     group = _group_from_arg(args.groupspec)
-    filters = tuple(_CLI_FILTERS[f] for f in args.filter)
-    spec = SearchSpec(group, filters=filters,
+    spec = SearchSpec(group, filters=tuple(_CLI_FILTERS[f] for f in args.filter),
                       iso_reduction=not args.no_iso, worker_count=args.workers)
     out_path = args.out
     if out_path is None:
@@ -70,7 +69,7 @@ def cmd_census(args) -> int:
         payload = {
             "group": group.label(),
             "iso_reduction": result.iso_reduction,
-            "filters": list(filters),
+            "filters": list(result.filters),
             "counts": result.counts,
             "catalog": out_path,
             "meta": {

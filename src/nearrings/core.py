@@ -12,6 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import AxiomViolation, InputError, PreconditionError
 from .groups import (
@@ -22,8 +23,10 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class PropertyFlags:
+class PropertyFlags(NamedTuple):
+    """A nearring's property flags. A tuple, so a flag set hashes and
+    compares by value in C and can key a dict."""
+
     zero_symmetric: bool
     semidistributive: bool
     distributive: bool
@@ -31,8 +34,7 @@ class PropertyFlags:
     abelian_addition: bool
 
     def as_dict(self) -> dict[str, bool]:
-        # Every field is a bool, so a flat copy is the whole dict.
-        return dict(vars(self))
+        return self._asdict()
 
 
 # The census flags, one row each: count and filter key, PropertyFlags field,
@@ -47,7 +49,7 @@ FLAG_TABLE = (
 
 def count_flags(flags) -> dict[str, int]:
     """The total number of flag sets and, per FLAG_TABLE key, how many hold
-    it. `flags` is an iterable of flag sets, or a Counter of them."""
+    it. `flags` is an iterable of flag sets, or a dict {flag set: count}."""
     tally = Counter(flags)
     counts = {"total": sum(tally.values())}
     for key, attr, _ in FLAG_TABLE:

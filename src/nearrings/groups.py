@@ -257,7 +257,7 @@ def build_group(spec) -> FiniteGroup:
             raise InputError(f"dihedral spec {spec!r} needs an even order >= 2")
         if m > MAX_ORDER:
             raise InputError(f"order {m} exceeds the maximum supported order {MAX_ORDER}")
-        return _dihedral(m, s)
+        return _dihedral(m, f"D{m}")
     factors = [int(p[1:]) for p in s.split("x")]
     if any(f < 1 for f in factors):
         raise InputError(f"cyclic factors must be positive in {spec!r}")
@@ -266,9 +266,8 @@ def build_group(spec) -> FiniteGroup:
         order *= f
     if order > MAX_ORDER:
         raise InputError(f"order {order} exceeds the maximum supported order {MAX_ORDER}")
-    if len(factors) == 1:
-        s = f"Z{factors[0]}"  # a cyclic group is labelled by its order ("Z04" is Z4)
-    return _product(factors, s)
+    # Labelled by the factors' orders, so "Z02xZ4" is Z2xZ4.
+    return _product(factors, "x".join(f"Z{f}" for f in factors))
 
 
 def parse_int_table(rows, field: str) -> Table:

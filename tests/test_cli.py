@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -5,6 +6,7 @@ import itertools
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -24,9 +26,9 @@ from nearrings.catalog import (
     write_census_reports,
 )
 from nearrings.census import SearchSpec, census_rows, census_suite
-from nearrings.checks import run_suite, summarize_reports
+from nearrings.checks import CheckVerdict, SuiteReport, run_suite, summarize_reports
 from nearrings.cli import main
-from nearrings.core import PropertyFlags, builtin, count_flags
+from nearrings.core import PropertyFlags, builtin, classify_table, count_flags
 from nearrings.errors import AxiomViolation, InputError
 from nearrings.groups import build_group
 
@@ -229,6 +231,41 @@ def test_cmd_census_filter(tmp_path, capsys):
     assert payload["counts"]["total"] == 1
     records, _ = read_catalog(out_path)
     assert len(records) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("Z2xZ4", "--filter", "zero-symmetric", "--filter", "identity"),
+    ("Z2xZ4", "--filter", "identity", "--filter", "zero-symmetric", "--filter", "identity"),
+    ("Z02xZ4", "--filter", "identity", "--filter", "zero-symmetric"),
+])
+def test_cmd_census_spellings_write_one_catalog(tmp_path, capsys, args):
+    # The group is labelled, and the filters are listed in one order and
+    # once each, however the census was spelled.
+    base, path = tmp_path / "base.jsonl", tmp_path / "other.jsonl"
+    run_cli(capsys, "census", "Z2xZ4", "--filter", "identity", "--filter", "zero-symmetric",
+            "--out", str(base))
+    code, out, _ = run_cli(capsys, "census", *args, "--format", "json", "--out", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["group"], payload["filters"]) == ("Z2xZ4", ["with_identity", "zero_symmetric"])
+    assert path.read_bytes() == base.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_cmd_census_refuses_an_out_path_that_is_not_a_file(tmp_path, capsys):
+    # Replacing a FIFO or a directory would put a regular file in its
+    # place, so either is refused before the census runs.
+    fifo, directory = tmp_path / "fifo", tmp_path / "dir"
+    os.mkfifo(fifo)
+    directory.mkdir()
+    for path in (fifo, directory):
+        code, out, err = run_cli(capsys, "census", "Z2", "--out", str(path))
+        assert code == 2
+        assert err.startswith("error:") and str(path) in err
+        assert out == ""
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert directory.is_dir() and not any(directory.iterdir())
+    assert not list(tmp_path.glob(".catalog-*.tmp"))
 
 
 def test_cmd_census_refuses_oversized_endomorphism_monoid(tmp_path, capsys):
@@ -513,10 +550,17 @@ def test_cmd_census_catalog_is_pinned(tmp_path, capsys, name):
 def test_catalog_lines_are_canonical_json(census_of, spec, tmp_path):
     # Records joined from fragments must read back to the same text that
     # one canonical dump of the parsed record gives.
+    result = census_of(spec)
     path = tmp_path / "catalog.jsonl"
-    write_catalog(path, census_of(spec))
+    write_catalog(path, result)
     for line in path.read_text(encoding="utf-8").splitlines():
         assert line == _dump(json.loads(line))
+    # Flag sets equal to the census's own but built afresh write the same
+    # bytes.
+    fresh = tmp_path / "fresh.jsonl"
+    write_catalog(fresh, dataclasses.replace(result, rep_flags=tuple(
+        classify_table(result.group, rep) for rep in result.representatives)))
+    assert fresh.read_bytes() == path.read_bytes()
 
 
 # -- lemmas ------------------------------------------------------------------------
@@ -570,9 +614,15 @@ def test_cmd_lemmas_census_json_is_pinned(capsys, spec):
 
 
 def test_write_census_reports_equals_whole_document_dump():
-    # The census pins above hold only passing, shared verdicts; the corpus
+    # The census pins above hold only witness-free verdicts; the corpus
     # files add failing reports whose verdicts carry witnesses.
     reports = list(census_suite(SearchSpec(build_group("S3"))))
+    # Equal verdicts that are not the cached ones must encode the same.
+    reports += [
+        SuiteReport(rep.instance, tuple(
+            CheckVerdict(v.check_id, v.applicable, v.holds, v.witness, v.notes)
+            for v in rep.verdicts), rep.overall)
+        for rep in reports]
     reports += [
         run_suite(parse_nearring_json({"group": spec, "mul": mul}, permissive=True))
         for spec, mul, _ in FILE_ENTRIES.values()

@@ -51,6 +51,19 @@ def homomorphisms_checked(g, h):
     return found
 
 
+# Every spelling the grammar accepts is labelled by the orders it names,
+# so one group gives one catalog `group` field and one default file name.
+@pytest.mark.parametrize("spelling, label", [
+    ("Z4", "Z4"), ("Z04", "Z4"), (" Z6 ", "Z6"), ("Z2xZ4", "Z2xZ4"),
+    ("Z02xZ4", "Z2xZ4"), ("Z2xZ02", "Z2xZ2"), ("Z1xZ003", "Z1xZ3"),
+    ("D8", "D8"), ("D08", "D8"), ("S3", "S3"), ("Q8", "Q8"),
+])
+def test_every_spelling_is_labelled_canonically(spelling, label):
+    g, named = build_group(spelling), build_group(label)
+    assert g.label() == label
+    assert (g.add, g.names) == (named.add, named.names)
+
+
 # Every map between the groups of each pair, maps with images[0] != 0
 # included, against the definition; the pairs of distinct groups keep the
 # source and target tables apart. The counts are |Hom(source, target)|.
